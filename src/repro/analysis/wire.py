@@ -60,6 +60,7 @@ EVENTS_MODULE = "obs/events.py"
 CONTRACTS_MODULE = "contracts.py"
 
 HTTP_MODULE = "service/http.py"
+HTTP_BASE_MODULE = "httpbase.py"
 SUPERVISE_MODULE = "service/supervise.py"
 WORKER_MODULE = "cluster/worker.py"
 COORDINATOR_MODULE = "cluster/coordinator.py"
@@ -175,9 +176,13 @@ class WireAnchor:
 #: inside an anchor must belong to one of its schemas; together the
 #: anchors must cover each schema's declared keys.
 WIRE_ANCHORS: tuple[WireAnchor, ...] = (
+    # handler base shared by the service and the worker
+    WireAnchor(HTTP_BASE_MODULE, "NOT_FOUND", produces=("error",)),
+    WireAnchor(
+        HTTP_BASE_MODULE, "_send_metrics", produces=("metrics",), consumes=("metrics",)
+    ),
     # service HTTP surface
     WireAnchor(HTTP_MODULE, "_INDEX", produces=("index",)),
-    WireAnchor(HTTP_MODULE, "_NOT_FOUND", produces=("error",)),
     WireAnchor(HTTP_MODULE, "_error_payload", produces=("error",)),
     WireAnchor(HTTP_MODULE, "_send_error", produces=("error",), consumes=("error",)),
     WireAnchor(HTTP_MODULE, "job_payload", produces=("job",)),
@@ -185,7 +190,6 @@ WIRE_ANCHORS: tuple[WireAnchor, ...] = (
     WireAnchor(
         HTTP_MODULE, "do_DELETE", produces=("database_admin",), consumes=("membership",)
     ),
-    WireAnchor(HTTP_MODULE, "_get_metrics", produces=("metrics",), consumes=("metrics",)),
     WireAnchor(
         HTTP_MODULE, "_post_mine", produces=("mine_submit",), consumes=("mine_submit",)
     ),
@@ -208,9 +212,7 @@ WIRE_ANCHORS: tuple[WireAnchor, ...] = (
     # worker HTTP surface and coordinator link
     WireAnchor(WORKER_MODULE, "health", produces=("health",)),
     WireAnchor(WORKER_MODULE, "_error_doc", produces=("error",)),
-    WireAnchor(WORKER_MODULE, "_get_metrics", produces=("metrics",), consumes=("metrics",)),
     WireAnchor(WORKER_MODULE, "_INDEX", produces=("index",)),
-    WireAnchor(WORKER_MODULE, "_NOT_FOUND", produces=("error",)),
     WireAnchor(
         WORKER_MODULE, "register", produces=("membership",), consumes=("membership",)
     ),

@@ -1,12 +1,14 @@
 """Cluster coordinator: shard fan-out, retry, degrade and merge (system S29).
 
-``disc_all_cluster`` mirrors :func:`repro.core.parallel.disc_all_parallel`
-with workers on the far side of HTTP instead of a local process pool:
-1-sequences are counted locally, each remaining ``<(lam)>``-partition
-becomes a :class:`~repro.cluster.payload.ShardPayload`, and the payloads
-fan out over a :class:`WorkerPool` — largest first (cost-balanced), one
-in-flight shard per worker.  The per-partition pattern maps, disjoint by
-construction, merge back into one output on the coordinating thread.
+``disc_all_cluster`` is DISC-all's first-level loop
+(:func:`repro.core.discall.mine_first_level`) with
+:func:`cluster_executor` as its transport: the loop counts the
+1-sequences and walks the ``<(lam)>``-partitions with the paper's
+reassignment; the executor turns each partition into a
+:class:`~repro.cluster.payload.ShardPayload` and fans the payloads out
+over a :class:`WorkerPool` — largest first (cost-balanced), one
+in-flight shard per worker — and hands each result back to the loop,
+which merges and checkpoints it on the coordinating thread.
 
 Threading model: one dispatch thread per *dispatchable* worker pops
 payloads, POSTs them and parks the outcome on a notice queue; *all*
@@ -14,7 +16,7 @@ bookkeeping — metrics, events, checkpoint recording, span grafting —
 happens on the coordinating thread that consumes the queue, because
 observations, recorders and the ambient trace are context-variable
 scoped and the checkpoint recorder is single-threaded by design.  The
-worker set is no longer frozen at start: the coordinating loop calls
+worker set is not frozen at start: the executor's wait loop calls
 :meth:`ShardRun.sync_workers` every poll tick, spawning a dispatch
 thread for any worker that joined the pool's
 :class:`~repro.cluster.membership.WorkerMembership` mid-job (or whose
@@ -30,10 +32,10 @@ budget.  A breaker that opens stops that worker's dispatch thread; the
 half-open probe is re-admitted by ``sync_workers`` after the backoff.
 When *nothing* can dispatch — every worker retired or open, no RPC in
 flight — the run is **stalled**: after ``degrade_after`` seconds the
-coordinator degrades gracefully, mining the remaining shards locally
-through the same checkpoint recorder (``cluster.degraded``,
-``cluster.shards_mined_locally``) so the job still completes
-byte-identical, just slower.  The run aborts with
+coordinator degrades gracefully, mining the remaining shards on the
+coordinating thread with the inline executor's per-partition function
+(``cluster.degraded``, ``cluster.shards_mined_locally``) so the job
+still completes byte-identical, just slower.  The run aborts with
 :class:`~repro.exceptions.ClusterError` only when a shard exhausts
 ``max_shard_attempts``, a worker answers terminally, or degradation is
 disabled (``degrade=False``) while stalled.  ClusterError is *terminal*
@@ -51,7 +53,8 @@ import urllib.error
 import urllib.request
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, cast
+from functools import partial
+from typing import Generator, Iterable, Iterator, cast
 
 from repro import contracts
 from repro.cluster.breaker import BreakerConfig
@@ -62,15 +65,18 @@ from repro.cluster.payload import (
     decode_shard_result,
     members_digest,
 )
-from repro.cluster.payload import mine_shard as mine_shard_locally
 from repro.core.cancel import active_token
-from repro.core.checkpoint import active_recorder
-from repro.core.counting import count_frequent_items
-from repro.core.discall import DiscAllOutput
+# re-exported: e2ebench/ledger.py patches this name
+from repro.core.counting import count_frequent_items as count_frequent_items
+from repro.core.discall import (
+    DiscAllOutput,
+    FirstLevelJob,
+    Partition,
+    mine_first_level,
+)
 from repro.core.partition import Member
 from repro.core.sequence import RawSequence
 from repro.exceptions import ClusterError, DataFormatError, InvalidParameterError
-from repro.faults import fault_point
 from repro.mining.registry import (
     CANDIDATE_PRUNING,
     CUSTOMER_REDUCING,
@@ -604,66 +610,31 @@ def _absorb_worker_report(obs: Observation, report: RunReport) -> None:
             record.children.extend(report.spans)
 
 
-def disc_all_cluster(
-    members: Iterable[Member],
-    delta: int,
+def cluster_executor(
+    partitions: Iterator[Partition],
+    job: FirstLevelJob,
     pool: WorkerPool,
-    bilevel: bool = True,
-    reduce: bool = True,
-    backend: str = "table",
-) -> DiscAllOutput:
-    """DISC-all with first-level partitions mined on cluster workers.
+    digest: str,
+) -> Generator[tuple[int, dict[RawSequence, int]], None, None]:
+    """Mine every partition on *pool*'s workers; degrade to this thread.
 
-    Returns the same pattern map as :func:`repro.core.discall.disc_all`
-    on the same members/delta (asserted by the tests).  Checkpoint and
-    cancel wiring matches ``disc_all_parallel``: the recorder sees
-    ``partition_done`` for every merged shard on this thread, completed
-    partitions are skipped on resume, and the cancel token is polled
-    between notices — so service journaling, crash recovery and partial
-    results work unchanged with ``algorithm="disc-all-cluster"``.
-
-    When the pool stalls (no dispatchable workers, nothing in flight)
-    longer than ``pool.degrade_after``, remaining shards are mined
-    *locally* on this thread through the identical merge path — the
-    first-level partitions are self-contained, so the result is
-    byte-identical no matter who mines each one.
+    *digest* stamps the payloads with their database.  Yields each
+    shard's patterns as they arrive, polling the cancel token while it
+    waits on the network.  A run stalled longer than
+    ``pool.degrade_after`` mines leftover shards here with
+    :meth:`FirstLevelJob.mine`: the result is byte-identical.
     """
-    if delta < 1:
-        raise ValueError(f"delta must be >= 1, got {delta}")
     obs = active()
-    members = list(members)
-    out = DiscAllOutput()
-    frequent_items = count_frequent_items(members, delta)
-    obs.metrics.counter("counting.frequent", k=1).add(len(frequent_items))
-    for item, count in frequent_items.items():
-        out.patterns[((item,),)] = count
-    item_set = frozenset(frequent_items)
-
-    token = active_token()
-    recorder = active_recorder()
-    recorder.attach(out.patterns)
-
-    digest = members_digest(members)
-    options = {"backend": backend, "bilevel": bilevel, "reduce": reduce}
+    options = job.options()
     shard_costs = obs.metrics.histogram("cluster.shard_cost")
     payloads: list[ShardPayload] = []
-    # repro: allow[DISC002] — scalar int items, not sequences
-    for lam in sorted(frequent_items):
-        token.checkpoint()
-        if recorder.should_skip(lam):
-            continue  # already mined by the run this one resumes
-        group = [
-            (cid, seq)
-            for cid, seq in members
-            if any(lam in txn for txn in seq)
-        ]
+    for lam, group in partitions:
         payload = ShardPayload.create(
-            lam, delta, group, item_set,
+            lam, job.delta, group, job.frequent_items,
             options=options, database_digest=digest,
         )
         shard_costs.record(payload.cost())
         payloads.append(payload)
-    out.stats.first_level_partitions = len(payloads)
 
     dispatched = obs.metrics.counter("cluster.shards_dispatched")
     retried = obs.metrics.counter("cluster.shards_retried")
@@ -676,6 +647,7 @@ def disc_all_cluster(
     trace = current_trace()
     traceparent = trace.child().to_traceparent() if trace is not None else None
 
+    token = active_token()
     run = pool.run(payloads, traceparent=traceparent)
     done = 0
     degraded = False
@@ -712,9 +684,7 @@ def disc_all_cluster(
                         _, lam, worker = notice[:3]
                         patterns = cast("dict[RawSequence, int]", notice[3])
                         report = cast("RunReport | None", notice[4])
-                        fault_point("disc.partition")
-                        out.patterns.update(patterns)
-                        recorder.partition_done(cast(int, lam))
+                        yield cast(int, lam), patterns
                         done += 1
                         merged.add(1)
                         if report is not None:
@@ -753,25 +723,42 @@ def disc_all_cluster(
                         reason="no dispatchable workers",
                         pending=run.pending_count(),
                     )
-                shard = run.take_local()
-                if shard is None:
+                local = run.take_local()
+                if local is None:
                     continue
-                fault_point("disc.partition")
-                local_patterns = mine_shard_locally(shard)
-                out.patterns.update(local_patterns)
-                recorder.partition_done(shard.lam)
-                run.local_done(shard)
+                local_patterns = job.mine(local.lam, list(local.members))
+                yield local.lam, local_patterns
+                run.local_done(local)
                 done += 1
                 merged.add(1)
                 mined_locally.add(1)
                 emit_event(
                     "shard.completed",
-                    lam=shard.lam, worker="local",
+                    lam=local.lam, worker="local",
                     patterns=len(local_patterns),
                 )
     finally:
         run.close()
-    return out
+
+
+def disc_all_cluster(
+    members: Iterable[Member],
+    delta: int,
+    pool: WorkerPool,
+    bilevel: bool = True,
+    reduce: bool = True,
+    backend: str = "table",
+) -> DiscAllOutput:
+    """DISC-all with first-level partitions mined on cluster workers.
+
+    Returns the same pattern map as :func:`repro.core.discall.disc_all`
+    (asserted by the tests); the first-level loop is
+    :func:`~repro.core.discall.mine_first_level`'s, so cancel, checkpoint
+    and resume behave as on every other path.
+    """
+    members = list(members)
+    executor = partial(cluster_executor, pool=pool, digest=members_digest(members))
+    return mine_first_level(members, delta, executor, bilevel, reduce, backend)
 
 
 def register_cluster_algorithm(

@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, cast
 
-from repro.core.discall import DiscAllOutput, _process_first_level
+from repro.core.discall import FirstLevelJob
 from repro.core.order import sort_key
 from repro.core.partition import Member
 from repro.core.sequence import RawSequence, canonical
@@ -436,19 +436,15 @@ def mine_shard(payload: ShardPayload) -> dict[RawSequence, int]:
     the local pool workers, the coordinator counts 1-sequences itself —
     and every returned pattern starts with ``lam`` by construction.
     """
-    out = DiscAllOutput()
     options = payload.options
-    _process_first_level(
-        payload.lam,
-        list(payload.members),
+    job = FirstLevelJob(
         payload.delta,
         payload.frequent_items,
         bool(options["bilevel"]),
         bool(options["reduce"]),
         str(options["backend"]),
-        out,
     )
-    return out.patterns
+    return job.mine(payload.lam, list(payload.members))
 
 
 def encode_shard_result(

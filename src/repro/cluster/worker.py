@@ -41,7 +41,6 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, quote, urlsplit
 
 from repro.cluster.payload import (
@@ -52,10 +51,10 @@ from repro.cluster.payload import (
 )
 from repro import contracts
 from repro.exceptions import DataFormatError, InvalidParameterError, ReproError
+from repro.httpbase import NOT_FOUND, JsonHTTPServer, JsonRequestHandler
 from repro.obs import observation
 from repro.obs.context import activated
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.prometheus import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from repro.obs.trace_context import TraceContext, trace_scope
 
 #: default request-body ceiling for ``POST /shards`` (64 MiB): large
@@ -131,40 +130,10 @@ class ClusterWorker:
             return self.metrics.snapshot()
 
 
-class WorkerRequestHandler(BaseHTTPRequestHandler):
+class WorkerRequestHandler(JsonRequestHandler):
     """Routes HTTP requests onto the owning server's ClusterWorker."""
 
     server: "WorkerHTTPServer"
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format: str, *args: object) -> None:
-        """Quiet by default: telemetry lives in /metrics, not stderr."""
-
-    def _send_json(
-        self,
-        status: int,
-        payload: dict[str, object],
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        body = json.dumps(payload, indent=1).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if headers:
-            for name, value in headers.items():
-                self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(
-        self, status: int, body: str, content_type: str = "text/plain"
-    ) -> None:
-        encoded = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(encoded)))
-        self.end_headers()
-        self.wfile.write(encoded)
 
     @property
     def worker(self) -> ClusterWorker:
@@ -178,54 +147,42 @@ class WorkerRequestHandler(BaseHTTPRequestHandler):
         elif parts == ["healthz"]:
             self._send_json(200, self.worker.health())
         elif parts == ["metrics"]:
-            self._get_metrics(parse_qs(split.query))
+            try:
+                self._send_metrics(
+                    parse_qs(split.query), self.worker.metrics_snapshot()
+                )
+            except InvalidParameterError as exc:
+                self._send_json(
+                    400, _error_body("bad_parameter", exc, retryable=False)
+                )
         else:
-            self._send_json(404, _NOT_FOUND)
+            self._send_json(404, NOT_FOUND)
 
     def do_POST(self) -> None:  # noqa: N802 (http.server naming)
         parts = [part for part in urlsplit(self.path).path.split("/") if part]
         if parts == ["shards"]:
             self._post_shard()
         else:
-            self._send_json(404, _NOT_FOUND)
-
-    def _get_metrics(self, query: dict[str, list[str]]) -> None:
-        values = query.get("format")
-        fmt = values[-1] if values else None
-        accept = self.headers.get("Accept") or ""
-        if fmt is None and "text/plain" in accept:
-            fmt = "prometheus"
-        if fmt == "prometheus":
-            self._send_text(
-                200,
-                render_prometheus(self.worker.metrics_snapshot()),
-                content_type=PROMETHEUS_CONTENT_TYPE,
-            )
-        else:
-            self._send_json(200, {
-                "format": "repro.service-metrics",
-                "version": 1,
-                "metrics": self.worker.metrics_snapshot(),
-            })
+            self._send_json(404, NOT_FOUND)
 
     def _post_shard(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
         limit = self.worker.max_shard_bytes
-        if length > limit:
-            # refuse before buffering a single byte; the unread body
-            # poisons the keep-alive stream, so drop the connection too
-            self.close_connection = True
-            self.worker.record_failure()
-            self._send_json(413, _error_doc(
-                "payload_too_large",
-                f"shard payload of {length} bytes exceeds this worker's "
-                f"{limit}-byte limit",
-                retryable=False,
-            ))
-            return
-        raw = self.rfile.read(length) if length else b""
         content_type = (self.headers.get("Content-Type") or "").split(";")[0].strip()
         try:
+            length = self._content_length()
+            if length > limit:
+                # refuse before buffering a single byte; the unread body
+                # poisons the keep-alive stream, so drop the connection too
+                self.close_connection = True
+                self.worker.record_failure()
+                self._send_json(413, _error_doc(
+                    "payload_too_large",
+                    f"shard payload of {length} bytes exceeds this worker's "
+                    f"{limit}-byte limit",
+                    retryable=False,
+                ))
+                return
+            raw = self.rfile.read(length) if length else b""
             if content_type == PAYLOAD_CONTENT_TYPE:
                 payload = ShardPayload.from_bytes(raw)
             else:
@@ -287,17 +244,8 @@ _INDEX: dict[str, object] = {
     ],
 }
 
-_NOT_FOUND: dict[str, object] = {
-    "error": {"code": "not_found", "message": "unknown endpoint"}
-}
-
-
-class WorkerHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that owns a :class:`ClusterWorker`."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-    request_queue_size = 128
+class WorkerHTTPServer(JsonHTTPServer):
+    """HTTP server that owns a :class:`ClusterWorker`."""
 
     def __init__(self, address: tuple[str, int], worker: ClusterWorker) -> None:
         self.worker = worker

@@ -482,8 +482,7 @@ _METRIC_SPECS = (
     MetricSpec("disc.rounds", "counter",
                ("core/discall.py", "core/dynamic.py")),
     MetricSpec("counting.frequent", "counter",
-               ("core/disc.py", "core/discall.py", "core/dynamic.py",
-                "core/parallel.py", "cluster/coordinator.py"),
+               ("core/disc.py", "core/discall.py", "core/dynamic.py"),
                labels=("k",)),
     MetricSpec("discall.first_level_mined", "counter",
                ("core/discall.py", "core/dynamic.py")),
@@ -498,8 +497,6 @@ _METRIC_SPECS = (
     MetricSpec("partition.first_level_size", "histogram", ("core/partition.py",)),
     MetricSpec("partition.extension", "counter", ("core/partition.py",)),
     MetricSpec("partition.extension_size", "histogram", ("core/partition.py",)),
-    MetricSpec("parallel.job_size", "histogram", ("core/parallel.py",)),
-    MetricSpec("parallel.jobs", "counter", ("core/parallel.py",)),
     MetricSpec("parallel.payload_bytes", "histogram", ("core/parallel.py",)),
     # mining service
     MetricSpec("service.cache_hits", "counter", ("service/service.py",),

@@ -1,45 +1,74 @@
 """Process-parallel DISC-all (system S9 scaled out).
 
-The <(lam)>-partitions of the first level are independent once their
-membership is known: the partition for item lam mines exactly the
-frequent sequences whose first item is lam, over the customer sequences
-that contain lam.  DISC-all computes membership lazily through the
-reassignment queue; here it is computed directly (one containment scan
-per frequent item), after which the partitions fan out over a process
-pool and the per-partition pattern maps — disjoint by construction —
-are merged.
+A transport for :func:`repro.core.discall.mine_first_level`: each
+first-level partition is encoded as a compact binary shard payload
+(:mod:`repro.cluster.payload`, the format the cluster ships over HTTP)
+and mined on a process pool; the pattern maps go back to the loop.
+``processes=1`` is the inline executor: nothing crosses a process
+boundary.
 
 The cost model: each worker re-receives its partition's sequences, so
 the win appears when per-partition mining dominates serialisation *and*
 cores are actually available — on a single-CPU host the pool only adds
-overhead (measured and noted in EXPERIMENTS.md).  Jobs cross the process
-boundary as compact binary shard payloads
-(:mod:`repro.cluster.payload` — the same format the cluster ships over
-HTTP) instead of pickled ``(lam, group, ...)`` tuples; the interned
-vocabulary and varint streams shrink the per-partition bytes (delta in
-EXPERIMENTS.md), and the ``parallel.payload_bytes`` histogram records
-the shipped sizes.
+overhead (measured and noted in EXPERIMENTS.md).  The
+``parallel.payload_bytes`` histogram records the shipped sizes.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable
+from functools import partial
+from typing import Generator, Iterable, Iterator
 
 from repro.cluster.payload import ShardPayload, members_digest, mine_shard
-from repro.core.cancel import active_token
-from repro.core.checkpoint import active_recorder
-from repro.core.counting import count_frequent_items
-from repro.core.discall import DiscAllOutput, _process_first_level
+from repro.core.discall import (
+    DiscAllOutput,
+    FirstLevelJob,
+    Partition,
+    inline_executor,
+    mine_first_level,
+)
 from repro.core.partition import Member
 from repro.core.sequence import RawSequence
-from repro.faults import fault_point
 from repro.obs import active
 
 
 def _mine_one_partition(blob: bytes) -> dict[RawSequence, int]:
     """Worker: decode one shard payload, mine it, return its pattern map."""
     return mine_shard(ShardPayload.from_bytes(blob))
+
+
+def pool_executor(
+    partitions: Iterator[Partition],
+    job: FirstLevelJob,
+    processes: int | None,
+    digest: str,
+) -> Generator[tuple[int, dict[RawSequence, int]], None, None]:
+    """Mine every partition on a pool of *processes* worker processes.
+
+    *digest* stamps the payloads with their database.  Workers record
+    nothing — their contextvars are fresh per process — so only the
+    loop's own counters and checkpoints cover this path.
+    """
+    obs = active()
+    options = job.options()
+    payload_bytes = obs.metrics.histogram("parallel.payload_bytes")
+
+    def encode(lam: int, group: list[Member]) -> bytes:
+        blob = ShardPayload.create(
+            lam, job.delta, group, job.frequent_items,
+            options=options, database_digest=digest,
+        ).to_bytes()
+        payload_bytes.record(len(blob))
+        return blob
+
+    jobs = [(lam, encode(lam, group)) for lam, group in partitions]
+    with obs.tracer.span("parallel.map", jobs=len(jobs), processes=processes):
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            yield from zip(
+                [lam for lam, _blob in jobs],
+                pool.map(_mine_one_partition, [blob for _lam, blob in jobs]),
+            )
 
 
 def disc_all_parallel(
@@ -54,89 +83,15 @@ def disc_all_parallel(
 
     Returns the same pattern map as :func:`repro.core.discall.disc_all`
     (asserted by the tests).  *processes* defaults to the executor's
-    choice; ``processes=1`` degenerates to sequential execution without
-    a pool, which keeps the function usable in restricted environments.
+    choice; ``processes=1`` runs the inline executor without a pool,
+    which keeps the function usable in restricted environments.
     """
-    if delta < 1:
-        raise ValueError(f"delta must be >= 1, got {delta}")
-    obs = active()
-    members = list(members)
-    out = DiscAllOutput()
-    frequent_items = count_frequent_items(members, delta)
-    obs.metrics.counter("counting.frequent", k=1).add(len(frequent_items))
-    # repro: allow[FLOW002] — one pass over the already-counted frequent
-    # 1-sequences; cancellation polls in the job-building loop below
-    for item, count in frequent_items.items():
-        out.patterns[((item,),)] = count
-    item_set = frozenset(frequent_items)
-
-    # Checkpoint/cancel support mirrors disc_all: the recorder seeds any
-    # resumed patterns, completed partitions are skipped before dispatch,
-    # and the coordinator polls the cancel token between partitions.
-    # Workers record nothing — their contextvars are fresh per process —
-    # so snapshots only ever cover partitions fully merged here.
-    token = active_token()
-    recorder = active_recorder()
-    recorder.attach(out.patterns)
-
-    # Direct membership: the partition of lam holds every sequence
-    # containing lam (what the reassignment chains produce lazily).
-    jobs: list[tuple[int, list[Member]]] = []
-    job_sizes = obs.metrics.histogram("parallel.job_size")
-    # repro: allow[DISC002] — scalar int items, not sequences
-    for lam in sorted(frequent_items):
-        token.checkpoint()
-        if recorder.should_skip(lam):
-            continue  # already mined by the run this one resumes
-        group = [
-            (cid, seq)
-            for cid, seq in members
-            if any(lam in txn for txn in seq)
-        ]
-        job_sizes.record(len(group))
-        jobs.append((lam, group))
-    # Workers run in separate processes, so only coordinator-side counters
-    # survive; per-partition evidence stays with the workers by design.
-    obs.metrics.counter("parallel.jobs").add(len(jobs))
-    out.stats.first_level_partitions = len(jobs)
-
     if processes == 1:
-        # Sequential degeneration skips the payload encoding entirely —
-        # nothing crosses a process boundary.
-        with obs.tracer.span("parallel.map", jobs=len(jobs), processes=1):
-            for lam, group in jobs:
-                token.checkpoint()
-                fault_point("disc.partition")
-                part = DiscAllOutput()
-                _process_first_level(
-                    lam, group, delta, item_set, bilevel, reduce, backend, part
-                )
-                out.patterns.update(part.patterns)
-                recorder.partition_done(lam)
-        return out
-
-    # Pool path: each job ships as the compact binary shard payload the
-    # cluster also uses, instead of a pickled (lam, group, ...) tuple.
-    digest = members_digest(members)
-    options = {"backend": backend, "bilevel": bilevel, "reduce": reduce}
-    payload_bytes = obs.metrics.histogram("parallel.payload_bytes")
-    blobs: list[bytes] = []
-    for lam, group in jobs:
-        token.checkpoint()
-        blob = ShardPayload.create(
-            lam, delta, group, item_set,
-            options=options, database_digest=digest,
-        ).to_bytes()
-        payload_bytes.record(len(blob))
-        blobs.append(blob)
-
-    with obs.tracer.span("parallel.map", jobs=len(jobs), processes=processes):
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            for (lam, _group), patterns in zip(
-                jobs, pool.map(_mine_one_partition, blobs)
-            ):
-                token.checkpoint()
-                fault_point("disc.partition")
-                out.patterns.update(patterns)
-                recorder.partition_done(lam)
-    return out
+        return mine_first_level(
+            members, delta, inline_executor, bilevel, reduce, backend
+        )
+    members = list(members)
+    executor = partial(
+        pool_executor, processes=processes, digest=members_digest(members)
+    )
+    return mine_first_level(members, delta, executor, bilevel, reduce, backend)

@@ -25,8 +25,8 @@ soak runs are reproducible bug reports, not coin flips.
 
 Named sites currently instrumented::
 
-    disc.partition   before mining one first-level partition (discall +
-                     parallel coordinator)
+    disc.partition   before merging one mined first-level partition (the
+                     shared first-level loop, whatever executor mined it)
     disc.round       before one per-k DISC discovery round
     journal.fsync    before fsyncing an appended journal record
     worker.crash     at the start of each scheduler job attempt

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import io
 import json
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from repro import contracts
@@ -52,7 +51,7 @@ from repro.exceptions import (
     ReproError,
     UnknownAlgorithmError,
 )
-from repro.obs.prometheus import PROMETHEUS_CONTENT_TYPE, render_prometheus
+from repro.httpbase import NOT_FOUND, JsonHTTPServer, JsonRequestHandler
 from repro.obs.trace_context import TraceContext
 from repro.service.errors import (
     ServiceClosedError,
@@ -139,42 +138,12 @@ def job_payload(job: Job, top: int | None = None) -> dict[str, object]:
     return payload
 
 
-class ServiceRequestHandler(BaseHTTPRequestHandler):
+class ServiceRequestHandler(JsonRequestHandler):
     """Routes HTTP requests onto the owning server's MiningService."""
 
     server: "ServiceHTTPServer"
-    protocol_version = "HTTP/1.1"
 
     # -- plumbing ------------------------------------------------------------
-
-    def log_message(self, format: str, *args: object) -> None:
-        """Quiet by default: telemetry lives in /metrics, not stderr."""
-
-    def _send_json(
-        self,
-        status: int,
-        payload: dict[str, object],
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        body = json.dumps(payload, indent=1).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if headers:
-            for name, value in headers.items():
-                self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(
-        self, status: int, body: str, content_type: str = "text/plain"
-    ) -> None:
-        encoded = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(encoded)))
-        self.end_headers()
-        self.wfile.write(encoded)
 
     def _send_error(self, exc: ReproError) -> None:
         status, payload = _error_payload(exc)
@@ -192,8 +161,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self._send_json(status, payload, headers=headers)
 
     def _read_json(self) -> dict[str, object]:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+        raw = self._read_body()
         try:
             payload = json.loads(raw.decode("utf-8") or "{}")
         except (ValueError, UnicodeDecodeError) as exc:
@@ -217,7 +185,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             elif parts == ["healthz"]:
                 self._send_json(200, self.service.health())
             elif parts == ["metrics"]:
-                self._get_metrics(parse_qs(split.query))
+                self._send_metrics(
+                    parse_qs(split.query), self.service.metrics_snapshot()
+                )
             elif parts == ["jobs"]:
                 self._send_json(200, {
                     "jobs": [
@@ -235,7 +205,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                     headers = {"traceparent": job.trace.to_traceparent()}
                 self._send_json(200, job_payload(job, top=top), headers=headers)
             else:
-                self._send_json(404, _NOT_FOUND)
+                self._send_json(404, NOT_FOUND)
         except ReproError as exc:
             self._send_error(exc)
 
@@ -255,7 +225,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                     200, self.service.heartbeat_worker(self._worker_url())
                 )
             else:
-                self._send_json(404, _NOT_FOUND)
+                self._send_json(404, NOT_FOUND)
         except ReproError as exc:
             self._send_error(exc)
 
@@ -281,41 +251,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                     "cache_entries_dropped": dropped,
                 })
             else:
-                self._send_json(404, _NOT_FOUND)
+                self._send_json(404, NOT_FOUND)
         except ReproError as exc:
             self._send_error(exc)
 
     # -- handlers ------------------------------------------------------------
-
-    def _get_metrics(self, query: dict[str, list[str]]) -> None:
-        """``GET /metrics`` with content negotiation.
-
-        JSON by default (the existing machine-readable document); the
-        Prometheus text exposition format when the client asks for it —
-        either explicitly (``?format=prometheus``) or via an ``Accept``
-        header preferring ``text/plain``.
-        """
-        values = query.get("format")
-        fmt = values[-1] if values else None
-        accept = self.headers.get("Accept") or ""
-        if fmt is None and "text/plain" in accept:
-            fmt = "prometheus"
-        if fmt == "prometheus":
-            self._send_text(
-                200,
-                render_prometheus(self.service.metrics_snapshot()),
-                content_type=PROMETHEUS_CONTENT_TYPE,
-            )
-        elif fmt in (None, "json"):
-            self._send_json(200, {
-                "format": "repro.service-metrics",
-                "version": 1,
-                "metrics": self.service.metrics_snapshot(),
-            })
-        else:
-            raise InvalidParameterError(
-                f"unknown metrics format {fmt!r}; use 'json' or 'prometheus'"
-            )
 
     def _post_mine(self) -> None:
         payload = self._read_json()
@@ -419,11 +359,6 @@ _INDEX: dict[str, object] = {
     ],
 }
 
-_NOT_FOUND: dict[str, object] = {
-    "error": {"code": "not_found", "message": "unknown endpoint"}
-}
-
-
 def _query_int(query: dict[str, list[str]], name: str) -> int | None:
     values = query.get(name)
     if not values:
@@ -436,15 +371,8 @@ def _query_int(query: dict[str, list[str]], name: str) -> int | None:
         ) from None
 
 
-class ServiceHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that owns a :class:`MiningService`."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-    # Admission control belongs to the scheduler's bounded queue, not the
-    # TCP accept backlog: hold concurrent connection bursts long enough
-    # to answer each with a proper 202/429 instead of a connection reset.
-    request_queue_size = 128
+class ServiceHTTPServer(JsonHTTPServer):
+    """HTTP server that owns a :class:`MiningService`."""
 
     def __init__(self, address: tuple[str, int], service: MiningService) -> None:
         self.service = service

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import http.client
+import json
 import random
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -95,3 +98,26 @@ def random_sequence(
         tuple(sorted(rng.sample(range(1, n_items + 1), rng.randint(1, min(max_itemset, n_items)))))
         for _ in range(rng.randint(1, max_transactions))
     )
+
+
+def post_with_content_length(
+    base_url: str, path: str, content_length: str, timeout: float = 5.0
+) -> tuple[int, dict]:
+    """POST *path* declaring a verbatim ``Content-Length`` and no body.
+
+    The connection stays open, so a server that waits for body bytes
+    fails the call with a timeout instead of answering.
+    """
+    split = urlsplit(base_url)
+    connection = http.client.HTTPConnection(
+        split.hostname, split.port, timeout=timeout
+    )
+    try:
+        connection.putrequest("POST", path)
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", content_length)
+        connection.endheaders()
+        response = connection.getresponse()
+        return response.status, json.loads(response.read().decode("utf-8"))
+    finally:
+        connection.close()

@@ -9,8 +9,16 @@ run.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
+from repro.cluster.coordinator import (
+    WorkerPool,
+    disc_all_cluster,
+    register_cluster_algorithm,
+)
+from repro.cluster.worker import make_worker_server
 from repro.core.cancel import CancelToken, cancel_scope
 from repro.core.checkpoint import (
     CheckpointIdentity,
@@ -21,6 +29,8 @@ from repro.core.checkpoint import (
     options_fingerprint,
     recording_scope,
 )
+from repro.core.discall import disc_all
+from repro.core.parallel import disc_all_parallel
 from repro.db.database import SequenceDatabase
 from repro.exceptions import (
     CheckpointMismatchError,
@@ -31,6 +41,7 @@ from repro.exceptions import (
 )
 from repro.faults import FaultPlan, fault_plan
 from repro.mining.api import mine, run_identity
+from repro.mining import registry
 from repro.mining.registry import RESUMABLE_ALGORITHMS, supports_resume
 
 from tests.conftest import TABLE1_TEXTS, TABLE6_TEXTS
@@ -39,6 +50,54 @@ from tests.conftest import TABLE1_TEXTS, TABLE6_TEXTS
 @pytest.fixture
 def table6_db() -> SequenceDatabase:
     return SequenceDatabase.from_texts(list(TABLE6_TEXTS.values()))
+
+
+#: a URL nothing listens on (port 9 is discard; connection is refused)
+DEAD_URL = "http://127.0.0.1:9"
+
+#: every first-level executor: id -> (algorithm, mine() options, cluster
+#: worker ("live", "dead" or None), fault sites that fire in this process)
+EXECUTORS = {
+    "disc-all": ("disc-all", {}, None, ("disc.partition", "disc.round")),
+    "parallel-1": (
+        "disc-all-parallel", {"processes": 1}, None,
+        ("disc.partition", "disc.round"),
+    ),
+    "parallel-2": ("disc-all-parallel", {"processes": 2}, None, ("disc.partition",)),
+    "cluster": ("disc-all-cluster", {}, "live", ("disc.partition",)),
+    "cluster-degraded": ("disc-all-cluster", {}, "dead", ("disc.partition",)),
+}
+
+
+@pytest.fixture
+def cluster_pool(monkeypatch):
+    """``bind(live)``: a worker pool, also bound to ``disc-all-cluster``.
+
+    A live pool has one in-process loopback worker; a dead one points at
+    an unreachable worker and degrades to local mining at once.
+    """
+    # the registration is process-global: restore it after the test
+    monkeypatch.setitem(
+        registry._REGISTRY, "disc-all-cluster",
+        registry._REGISTRY.get("disc-all-cluster"),
+    )
+    servers = []
+
+    def bind(live: bool) -> WorkerPool:
+        if live:
+            server = make_worker_server(port=0)
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+            servers.append(server)
+            pool = WorkerPool([f"http://127.0.0.1:{server.server_address[1]}"])
+        else:
+            pool = WorkerPool([DEAD_URL], max_worker_failures=1, degrade_after=0.0)
+        register_cluster_algorithm(pool)
+        return pool
+
+    yield bind
+    for server in servers:
+        server.shutdown()
+        server.server_close()
 
 
 def identity_of(db: SequenceDatabase, delta: int = 2) -> CheckpointIdentity:
@@ -200,25 +259,63 @@ class TestMineIntegration:
         assert resumed.complete
         assert resumed.patterns == reference.patterns
 
-    def test_kill_at_every_fault_site_then_resume(self, table6_db):
-        """The acceptance criterion: crash anywhere, resume, equal output."""
+    @pytest.mark.parametrize("executor", list(EXECUTORS))
+    def test_kill_at_every_fault_site_then_resume(
+        self, table6_db, cluster_pool, executor
+    ):
+        """The acceptance criterion: crash anywhere, resume, equal output.
+
+        On every first-level executor.  ``disc.partition`` fires in the
+        shared loop; ``disc.round`` is armed where the inline executor
+        runs the rounds (a cluster worker answers it with a retryable
+        500, and a pool worker process never sees the plan).
+        """
+        algorithm, options, worker, sites = EXECUTORS[executor]
+        if worker is not None:
+            cluster_pool(live=worker == "live")
         reference = mine(table6_db, 2)
-        for site in ("disc.partition", "disc.round"):
+        for site in sites:
             hit = 1
             while True:
                 checkpoints: list[MiningCheckpoint] = []
                 try:
                     with fault_plan(FaultPlan.from_spec(f"{site}:{hit}")):
-                        mine(table6_db, 2, checkpoint_to=checkpoints.append)
+                        mine(
+                            table6_db, 2, algorithm=algorithm,
+                            checkpoint_to=checkpoints.append, **options,
+                        )
                     break  # hit number beyond the run's sites: clean finish
                 except InjectedFaultError:
                     pass
                 resume = checkpoints[-1] if checkpoints else None
-                resumed = mine(table6_db, 2, resume_from=resume)
+                resumed = mine(
+                    table6_db, 2, algorithm=algorithm, resume_from=resume,
+                    **options,
+                )
                 assert resumed.complete
                 assert resumed.patterns == reference.patterns, (site, hit)
                 hit += 1
             assert hit > 1, f"fault site {site} never hit"
+
+    def test_every_executor_mines_the_same_partitions(
+        self, table6_members, cluster_pool
+    ):
+        outputs = {
+            "disc-all": disc_all(table6_members, 3),
+            "parallel-1": disc_all_parallel(table6_members, 3, processes=1),
+            "parallel-2": disc_all_parallel(table6_members, 3, processes=2),
+            "cluster": disc_all_cluster(table6_members, 3, cluster_pool(live=True)),
+            "cluster-degraded": disc_all_cluster(
+                table6_members, 3, cluster_pool(live=False)
+            ),
+        }
+        # One first-level partition per frequent item (Example 3.1: all
+        # but d), counted by the shared loop whoever mines them.
+        assert {
+            name: out.stats.first_level_partitions for name, out in outputs.items()
+        } == {name: 7 for name in outputs}
+        for out in outputs.values():
+            assert out.patterns == outputs["disc-all"].patterns
 
     def test_resume_checkpoint_mismatch_raises(self, table6_db, table1_db):
         token = CancelToken()

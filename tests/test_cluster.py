@@ -35,7 +35,7 @@ from repro.mining.serialize import save_result
 from repro.obs import observation
 from repro.obs.context import activated
 from repro.obs.trace_context import TraceContext, trace_scope
-from tests.conftest import TABLE6_TEXTS
+from tests.conftest import TABLE6_TEXTS, post_with_content_length
 
 #: a URL nothing listens on (port 9 is discard; connection is refused)
 DEAD_URL = "http://127.0.0.1:9"
@@ -229,6 +229,13 @@ class TestWorkerEndpoints:
         assert doc["error"]["code"] == "bad_payload"
         assert doc["error"]["retryable"] is False
 
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_answers_400(self, workers, length):
+        status, body = post_with_content_length(workers[0], "/shards", length)
+        assert status == 400
+        assert body["error"]["code"] == "bad_payload"
+        assert body["error"]["retryable"] is False
+
     def test_metrics_negotiates_prometheus(self, workers, table6_members):
         pool = WorkerPool(workers[:1])
         disc_all_cluster(table6_members, 3, pool)
@@ -242,6 +249,11 @@ class TestWorkerEndpoints:
         with urllib.request.urlopen(request, timeout=10) as response:
             text = response.read().decode("utf-8")
         assert "worker_shards_mined 7" in text
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(workers[0] + "/metrics?format=bogus", timeout=10)
+        assert excinfo.value.code == 400
+        doc = json.loads(excinfo.value.read().decode("utf-8"))
+        assert doc["error"]["code"] == "bad_parameter"
 
     def test_unknown_endpoint_404(self, workers):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -40,11 +40,6 @@ class TestParity:
     def test_empty_database(self):
         assert disc_all_parallel([], 2, processes=1).patterns == {}
 
-    def test_partition_membership_is_direct(self, table6_members):
-        out = disc_all_parallel(table6_members, 3, processes=1)
-        # One job per frequent item (Example 3.1: all but d).
-        assert out.stats.first_level_partitions == 7
-
     def test_registry_entry(self, table1_db):
         from repro.mining.api import mine
 

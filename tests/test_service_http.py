@@ -26,7 +26,7 @@ from repro.mining.api import mine
 from repro.service import MiningService
 from repro.service.http import make_server
 
-from tests.conftest import TABLE1_TEXTS
+from tests.conftest import TABLE1_TEXTS, post_with_content_length
 
 def _spmf_text() -> str:
     from io import StringIO
@@ -275,6 +275,13 @@ class TestErrors:
                 status, body = response.status, json.loads(response.read())
         except urllib.error.HTTPError as exc:
             status, body = exc.code, json.loads(exc.read().decode("utf-8"))
+        assert status == 400
+        assert body["error"]["code"] == "bad_parameter"
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length(self, served, length):
+        base, _ = served
+        status, body = post_with_content_length(base, "/mine", length)
         assert status == 400
         assert body["error"]["code"] == "bad_parameter"
 
