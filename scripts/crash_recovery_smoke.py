@@ -10,7 +10,10 @@ real process death:
    journal (no drain, no atexit — the hard crash),
 4. restart the server over the same journal,
 5. assert the interrupted job is resumed under its original id and its
-   final pattern set is byte-identical to an uninterrupted run,
+   final pattern set is byte-identical to an uninterrupted run, and that
+   its journaled checkpoint records — before and after the crash —
+   carry each pattern at most once (each record holds only the
+   partitions completed since the previous one),
 6. assert the submitted ``traceparent`` trace id survived the crash —
    on the job payload, in every journal record of the job, and in the
    structured event log — and that journal-replay health shows up on
@@ -224,6 +227,29 @@ def main() -> int:
             record.get("trace_id") == TRACE_ID for record in job_records
         ):
             sys.exit(f"journal records lost the trace id: {job_records}")
+
+        # --- checkpoint records are deltas: no pattern journaled twice ---
+        journaled: dict[str, int] = {}
+        records = 0
+        for record in job_records:
+            if record.get("event") != "checkpoint":
+                continue
+            records += 1
+            for raw, _support in record["checkpoint"]["patterns"]:
+                key = json.dumps(raw)
+                journaled[key] = journaled.get(key, 0) + 1
+        repeated = [key for key, seen in journaled.items() if seen > 1]
+        if not records:
+            sys.exit("the job journaled no checkpoint record")
+        if repeated:
+            sys.exit(
+                f"{len(repeated)} patterns journaled more than once across "
+                f"{records} checkpoint records, e.g. {repeated[:3]}"
+            )
+        print(
+            f"{records} checkpoint records carry {len(journaled)} patterns, "
+            "each at most once"
+        )
 
         from repro.obs.events import validate_event
 

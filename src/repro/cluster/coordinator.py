@@ -659,12 +659,21 @@ def cluster_executor(
             while done < len(payloads):
                 token.checkpoint()
                 run.sync_workers()
+                if run.stalled():
+                    if stall_since is None:
+                        stall_since = time.monotonic()
+                else:
+                    stall_since = None
                 try:
-                    # poll fast while stalled: local mining should not
-                    # pay the idle tick between every shard
-                    notice = run.notices.get(
-                        timeout=0.02 if stall_since is not None else 0.25
-                    )
+                    # poll fast while stalled, and not at all while
+                    # mining locally: degraded mining waits on mining,
+                    # not on the idle tick between every shard
+                    if degraded and stall_since is not None:
+                        notice = run.notices.get_nowait()
+                    else:
+                        notice = run.notices.get(
+                            timeout=0.02 if stall_since is not None else 0.25
+                        )
                 except queue.Empty:
                     notice = None
                 if notice is not None:
@@ -698,12 +707,10 @@ def cluster_executor(
                         failed.add(1)
                         emit_event("shard.failed", level="error", reason=message)
                         raise ClusterError(str(message))
-                if not run.stalled():
-                    stall_since = None
+                    continue
+                if stall_since is None:
                     continue
                 now = time.monotonic()
-                if stall_since is None:
-                    stall_since = now
                 # degradation is sticky for the run: once local mining
                 # has started, a failed re-probe does not re-arm the grace
                 if not degraded and now - stall_since < pool.degrade_after:

@@ -264,7 +264,7 @@ def mine_first_level(
             fault_point("disc.partition")
             out.patterns.update(patterns)
             mined.add(1)
-            recorder.partition_done(lam)
+            recorder.partition_done(lam, patterns)
     out.stats = DiscAllStats.since(metrics, baseline)
     return out
 

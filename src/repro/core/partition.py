@@ -83,7 +83,10 @@ def reduce_sequence(
     reduced: list[tuple[int, ...]] = []
     for t, txn in enumerate(seq):
         if t < t_min:
-            kept = tuple(item for item in txn if item in frequent_items)
+            if frequent_items.issuperset(txn):
+                kept = txn  # nothing dropped: reuse the member's own tuple
+            else:
+                kept = tuple(item for item in txn if item in frequent_items)
         else:
             has_lam = lam in txn
             kept_items = []
@@ -103,7 +106,7 @@ def reduce_sequence(
                     keep = (item, 2) in frequent_pairs
                 if keep:
                     kept_items.append(item)
-            kept = tuple(kept_items)
+            kept = txn if len(kept_items) == len(txn) else tuple(kept_items)
         if kept:
             reduced.append(kept)
     result = tuple(reduced)

@@ -122,9 +122,10 @@ def mine(
         )
     recorder: CheckpointRecorder | None = None
     if resumable:
-        # The recorder itself is watermark bookkeeping — O(1) per round
-        # boundary.  The database digest (one full scan) is only paid
-        # when a checkpoint is actually consumed or produced.
+        # The recorder itself is chunk bookkeeping — O(1) per round
+        # boundary, one reference per merged partition.  The database
+        # digest (one full scan) is only paid when a checkpoint is
+        # actually consumed or produced.
         if resume_from is not None:
             resume_from.validate_for(run_identity(db, delta, algorithm, options))
         recorder = CheckpointRecorder(resume_from=resume_from, sink=checkpoint_to)

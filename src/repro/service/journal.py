@@ -3,12 +3,14 @@
 The scheduler's job table lives in memory; a crash or SIGKILL forgets
 every queued and running job.  :class:`JobJournal` fixes that with the
 oldest trick in the book: an append-only JSONL file recording each job's
-lifecycle — ``accepted`` → ``started`` → ``checkpoint`` (with a full
-resume payload at partition boundaries) → ``finished`` — fsynced on
-every state transition.  On startup, :func:`replay_journal` folds the
-file back into per-job last-known states; the service re-enqueues
-interrupted jobs from their last checkpoint and marks unresumable ones
-failed with a reason (see :meth:`MiningService.recover`).
+lifecycle — ``accepted`` → ``started`` → ``checkpoint`` (one per
+completed first-level partition, carrying only the work completed since
+the previous one) → ``finished`` — fsynced on every state transition.
+On startup, :func:`replay_journal` folds the file back into per-job
+last-known states, and a job's ``checkpoint`` records back into one
+resume checkpoint (:meth:`JournalEntry.checkpoint`); the service
+re-enqueues interrupted jobs from that checkpoint and marks unresumable
+ones failed with a reason (see :meth:`MiningService.recover`).
 
 Record shape: one JSON object per line, always with ``event``, ``job``
 and ``ts`` (wall-clock seconds) keys, plus event-specific fields::
@@ -26,6 +28,16 @@ and the resumed run keeps the original trace identity across a crash.
     {"event": "finished", "job": "j000001", "ts": ..., "state": "done",
      "error": null, "code": null, "complete": true}
 
+A ``checkpoint`` record's ``partitions`` counts every partition the job
+has completed so far, but its ``checkpoint`` payload (format version 2)
+holds only the partitions completed since the job's previous record and
+their patterns — the first record also holds the 1-sequences — so a
+job journals each pattern once.  Partitions are disjoint, so folding the
+records is a union: a record journaled twice (a retry after a failed
+``journal.fsync``) folds to the same checkpoint.  A record of an older
+format version makes the fold fail, and recovery restarts that job from
+scratch.
+
 Replay is deliberately forgiving: a torn final line (the process died
 mid-write) and garbage from interleaved writers are counted and skipped,
 never fatal — the journal exists precisely for ungraceful exits, so its
@@ -41,6 +53,7 @@ import time
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
+from repro.core.checkpoint import MiningCheckpoint
 from repro.exceptions import InvalidParameterError
 from repro.faults import fault_point
 
@@ -110,7 +123,7 @@ class JournalEntry:
 
     __slots__ = (
         "job_id", "accepted", "last_event", "state", "attempts",
-        "checkpoint", "error", "code", "trace_id",
+        "checkpoints", "error", "code", "trace_id",
     )
 
     def __init__(self, job_id: str) -> None:
@@ -119,7 +132,8 @@ class JournalEntry:
         self.last_event = ""
         self.state: str | None = None
         self.attempts = 0
-        self.checkpoint: dict[str, Any] | None = None
+        #: the payloads of the job's ``checkpoint`` records, in order
+        self.checkpoints: list[Mapping[str, Any]] = []
         self.error: str | None = None
         self.code: str | None = None
         self.trace_id: str | None = None
@@ -128,6 +142,16 @@ class JournalEntry:
     def finished(self) -> bool:
         """True once a ``finished`` record was journaled for this job."""
         return self.last_event == FINISHED_EVENT
+
+    def checkpoint(self) -> MiningCheckpoint:
+        """The job's ``checkpoint`` records folded into one checkpoint.
+
+        Raises :class:`~repro.exceptions.DataFormatError` when the job
+        has none, or one is malformed or of another format version.
+        """
+        return MiningCheckpoint.fold(
+            MiningCheckpoint.from_dict(payload) for payload in self.checkpoints
+        )
 
     def absorb(self, record: Mapping[str, Any]) -> None:
         """Fold one journal record into this entry (last state wins)."""
@@ -145,8 +169,9 @@ class JournalEntry:
         elif event == "checkpoint":
             payload = record.get("checkpoint")
             if isinstance(payload, dict):
-                self.checkpoint = payload
+                self.checkpoints.append(payload)
         elif event == FINISHED_EVENT:
+            self.checkpoints.clear()  # a finished job is never resumed
             state = record.get("state")
             self.state = str(state) if state is not None else None
             error = record.get("error")

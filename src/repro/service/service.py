@@ -297,11 +297,7 @@ class MiningService:
         summary["corrupt_lines"] = replay.corrupt_lines
         self.scheduler.ensure_ids_above(_highest_job_number(replay))
         for entry in replay.interrupted():
-            if self._recover_one(entry):
-                summary["resumed" if entry.checkpoint is not None else
-                        "restarted"] += 1
-            else:
-                summary["failed"] += 1
+            summary[self._recover_one(entry)] += 1
         with self._merge_lock:
             self.metrics.counter("service.journal_replayed_lines").add(
                 replay.total_lines
@@ -328,14 +324,18 @@ class MiningService:
         )
         return summary
 
-    def _recover_one(self, entry: JournalEntry) -> bool:
-        """Re-enqueue one interrupted journal entry; False when failed."""
+    def _recover_one(self, entry: JournalEntry) -> str:
+        """Re-enqueue one interrupted journal entry.
+
+        Returns the summary tally it counts towards: ``resumed``,
+        ``restarted`` or ``failed``.
+        """
         accepted = entry.accepted
         if accepted is None:
             self._journal_unresumable(
                 entry, "journal has no accepted record for this job"
             )
-            return False
+            return "failed"
         try:
             registered = self.registry.get(str(accepted.get("database")))
         except UnknownDatabaseError:
@@ -343,14 +343,14 @@ class MiningService:
                 entry,
                 f"database {accepted.get('database')!r} is not registered",
             )
-            return False
+            return "failed"
         if registered.digest != accepted.get("digest"):
             self._journal_unresumable(
                 entry,
                 f"database {registered.name!r} content changed "
                 "since the job was accepted",
             )
-            return False
+            return "failed"
         try:
             delta = int(accepted["delta"])
             algorithm = str(accepted["algorithm"])
@@ -362,12 +362,10 @@ class MiningService:
             deadline = float(raw_deadline) if raw_deadline is not None else None
         except (KeyError, TypeError, ValueError):
             self._journal_unresumable(entry, "accepted record is malformed")
-            return False
+            return "failed"
         checkpoint = self._usable_checkpoint(
             entry, registered.db, delta, algorithm, dict(options)
         )
-        if checkpoint is None:
-            entry.checkpoint = None  # downgraded to a from-scratch restart
         request = MineRequest(
             database=registered.name,
             digest=registered.digest,
@@ -388,7 +386,7 @@ class MiningService:
         self._submit_request(request, deadline, job_id=entry.job_id, trace=trace)
         with self._merge_lock:
             self._recovered.add(1)
-        return True
+        return "restarted" if checkpoint is None else "resumed"
 
     def _usable_checkpoint(
         self,
@@ -398,17 +396,18 @@ class MiningService:
         algorithm: str,
         options: dict[str, object],
     ) -> MiningCheckpoint | None:
-        """The entry's checkpoint if it fits the recovered run, else None.
+        """The entry's folded checkpoint if it fits the recovered run.
 
-        A bad checkpoint downgrades the job to a from-scratch restart —
-        re-mining is always correct, resuming from the wrong snapshot
-        never is.
+        Returns None when the job has no checkpoint record.  A bad
+        checkpoint — a malformed or old-version record, or one that
+        does not fingerprint-match — downgrades the job to a
+        from-scratch restart: re-mining is always correct, resuming from
+        the wrong snapshot never is.
         """
-        payload = entry.checkpoint
-        if payload is None or not supports_resume(algorithm):
+        if not entry.checkpoints or not supports_resume(algorithm):
             return None
         try:
-            checkpoint = MiningCheckpoint.from_dict(payload)
+            checkpoint = entry.checkpoint()
             checkpoint.validate_for(run_identity(db, delta, algorithm, options))
         except (DataFormatError, CheckpointMismatchError):
             return None
@@ -577,7 +576,7 @@ class MiningService:
         # A retry resumes from the job's freshest checkpoint, falling
         # back to the one recovery attached (if any).
         resume_from = job.progress or request.resume_from
-        sink = self._checkpoint_sink(job) if resumable else None
+        sink = self._checkpoint_sink(job, resume_from) if resumable else None
         result = mine(
             request.db,
             request.delta,
@@ -600,42 +599,56 @@ class MiningService:
                 self._absorb_report(result.report)
         return MineOutcome(result, cached=False)
 
-    def _checkpoint_sink(self, job: Job) -> Callable[[MiningCheckpoint], None]:
+    def _checkpoint_sink(
+        self, job: Job, resume_from: MiningCheckpoint | None
+    ) -> Callable[[MiningCheckpoint], None]:
         """A per-job sink journaling partition-boundary checkpoints.
 
         Every emitted checkpoint refreshes the in-memory ``job.progress``
         (what an in-process retry resumes from).  Only partition
-        boundaries — where ``completed_k`` resets to 0 and the
-        completed-partition set grew — are made durable, so the journal
-        grows with partitions, not with every discovery round.
-        ``job.progress`` is updated *after* the journal append: if the
-        append dies (crash, injected ``journal.fsync`` fault), the retry
-        resumes from the last checkpoint that is actually durable.
+        boundaries — where ``completed_k`` is 0 and new chunks of work
+        were completed — are made durable, and each ``checkpoint`` record
+        carries only the partitions and patterns completed since the
+        previous one (:meth:`MiningCheckpoint.since`), so a run journals
+        each pattern once; recovery folds the records back together.
+        The run's *resume_from* work is already durable (or there is no
+        journal), so the first record starts after it.  Without a
+        journal nothing is serialised.  ``job.progress`` is updated
+        *after* the journal append: if the append dies (crash, injected
+        ``journal.fsync`` fault), the retry resumes from the last
+        checkpoint that is actually durable and journals the lost delta
+        again — folding a delta twice is harmless.
         """
+        journaled = 0 if resume_from is None else resume_from.chunk_count
+        partitions = (
+            0 if resume_from is None else len(resume_from.completed_partitions)
+        )
+        patterns = 0 if resume_from is None else len(resume_from.patterns)
+
         def sink(checkpoint: MiningCheckpoint) -> None:
-            at_partition_boundary = checkpoint.completed_k == 0 and (
-                job.progress is None
-                or len(checkpoint.completed_partitions)
-                > len(job.progress.completed_partitions)
-            )
-            if at_partition_boundary:
-                self._journal_event(
-                    job,
-                    "checkpoint",
-                    completed_k=checkpoint.completed_k,
-                    partitions=len(checkpoint.completed_partitions),
-                    patterns=len(checkpoint.patterns),
-                    checkpoint=checkpoint.to_dict(),
-                )
+            nonlocal journaled, partitions, patterns
+            if checkpoint.completed_k == 0 and checkpoint.chunk_count > journaled:
+                new_work = checkpoint.since(journaled)
+                partitions += len(new_work.completed_partitions)
+                patterns += len(new_work.patterns)
+                if self.journal is not None:
+                    self._journal_event(
+                        job,
+                        "checkpoint",
+                        completed_k=checkpoint.completed_k,
+                        partitions=partitions,
+                        checkpoint=new_work.to_dict(),
+                    )
+                journaled = checkpoint.chunk_count
                 emit_event(
                     "job.checkpoint",
                     job_id=job.id,
                     trace_id=(
                         job.trace.trace_id if job.trace is not None else None
                     ),
-                    partitions=len(checkpoint.completed_partitions),
+                    partitions=partitions,
                     completed_k=checkpoint.completed_k,
-                    patterns=len(checkpoint.patterns),
+                    patterns=patterns,
                 )
             job.progress = checkpoint
 

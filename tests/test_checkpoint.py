@@ -65,7 +65,9 @@ EXECUTORS = {
     ),
     "parallel-2": ("disc-all-parallel", {"processes": 2}, None, ("disc.partition",)),
     "cluster": ("disc-all-cluster", {}, "live", ("disc.partition",)),
-    "cluster-degraded": ("disc-all-cluster", {}, "dead", ("disc.partition",)),
+    "cluster-degraded": (
+        "disc-all-cluster", {}, "dead", ("disc.partition", "disc.round"),
+    ),
 }
 
 
@@ -174,27 +176,77 @@ class TestSerialization:
 
 
 class TestRecorder:
-    def test_watermark_advances_only_at_boundaries(self, table1_db):
+    def test_capture_sees_only_recorded_chunks(self, table1_db):
         recorder = CheckpointRecorder()
-        out: dict = {}
+        out: dict = {((1,),): 4, ((2,),): 3}  # the run's 1-sequences
         recorder.attach(out)
-        out[((1,),)] = 4
-        out[((2,),)] = 3
-        # Not yet committed: capture sees nothing.
-        assert recorder.capture(identity_of(table1_db)).patterns == {}
+        first = recorder.capture(identity_of(table1_db))
+        assert first.patterns == {((1,),): 4, ((2,),): 3}
+        assert first.chunk_count == 1
+        # The output dict is the miner's, not the recorder's: writing to
+        # it records nothing until a partition is handed over.
+        out[((1,), (2,))] = 2
+        assert recorder.capture(identity_of(table1_db)).patterns == first.patterns
         recorder.round_done(2)
         snapshot = recorder.capture(identity_of(table1_db))
-        assert snapshot.patterns == {((1,),): 4, ((2,),): 3}
         assert snapshot.completed_k == 2
-        out[((1,), (2,))] = 2  # uncommitted again
-        assert recorder.capture(identity_of(table1_db)).patterns == snapshot.patterns
+        assert snapshot.chunk_count == 1  # a round adds no chunk
+        partition = {((1,), (2,)): 2}
+        recorder.partition_done(1, partition)
+        done = recorder.capture(identity_of(table1_db))
+        assert done.patterns == {((1,),): 4, ((2,),): 3, ((1,), (2,)): 2}
+        assert done.completed_partitions == (1,)
+        # earlier captures stay the prefix they were taken at
+        assert first.patterns == {((1,),): 4, ((2,),): 3}
+        assert snapshot.completed_partitions == ()
+        # the chunk is the partition's own dict, not a copy
+        assert done.chunks[-1].patterns is partition
+
+    def test_since_cuts_out_the_later_chunks(self, table1_db):
+        recorder = CheckpointRecorder()
+        recorder.attach({((1,),): 4, ((2,),): 3})
+        recorder.partition_done(1, {((1,), (2,)): 2})
+        earlier = recorder.capture(identity_of(table1_db))
+        recorder.partition_done(2, {((2,), (1,)): 2})
+        recorder.partition_done(3, {})
+        later = recorder.capture(identity_of(table1_db))
+        delta = later.since(earlier.chunk_count)
+        assert delta.completed_partitions == (2, 3)
+        assert delta.patterns == {((2,), (1,)): 2}
+        assert later.since(later.chunk_count).patterns == {}
+        assert later.since(0) == later
+
+    def test_fold_is_a_union_and_idempotent(self, table1_db):
+        recorder = CheckpointRecorder()
+        recorder.attach({((1,),): 4, ((2,),): 3})
+        recorder.partition_done(1, {((1,), (2,)): 2})
+        first = recorder.capture(identity_of(table1_db))
+        recorder.partition_done(2, {((2,), (1,)): 2})
+        full = recorder.capture(identity_of(table1_db))
+        second = full.since(first.chunk_count)
+        folded = MiningCheckpoint.fold([first, second])
+        assert folded == full
+        assert MiningCheckpoint.fold([first, second, second, first]) == full
+        assert MiningCheckpoint.fold([second, first]).patterns == full.patterns
+
+    def test_fold_rejects_disagreeing_checkpoints(self, table1_db):
+        identity = identity_of(table1_db)
+        one = MiningCheckpoint(identity, (1,), patterns={((1,),): 4})
+        other = MiningCheckpoint(identity, (1,), patterns={((1,),): 5})
+        with pytest.raises(DataFormatError, match="disagree"):
+            MiningCheckpoint.fold([one, other])
+        stranger = MiningCheckpoint(identity_of(table1_db, delta=3), (2,))
+        with pytest.raises(DataFormatError, match="different runs"):
+            MiningCheckpoint.fold([one, stranger])
+        with pytest.raises(DataFormatError, match="no checkpoint"):
+            MiningCheckpoint.fold([])
 
     def test_partition_done_resets_round_counter(self, table1_db):
         recorder = CheckpointRecorder()
         recorder.attach({})
         recorder.round_done(4)
         assert recorder.completed_k == 4
-        recorder.partition_done(1)
+        recorder.partition_done(1, {})
         assert recorder.completed_k == 0
         assert recorder.completed_partitions == (1,)
         assert recorder.should_skip(1) and not recorder.should_skip(2)
@@ -210,6 +262,10 @@ class TestRecorder:
         recorder.attach(out)
         assert list(out) == [((1,),), ((2,),)]  # resumed entries lead
         assert recorder.should_skip(1)
+        # the resumed chunk is kept; only what it lacked is new work
+        snapshot = recorder.capture(identity_of(table1_db))
+        assert snapshot.since(resumed.chunk_count).patterns == {((2,),): 3}
+        assert snapshot.patterns == {((1,),): 4, ((2,),): 3}
 
     def test_sink_fires_at_each_boundary(self, table1_db):
         seen: list[MiningCheckpoint] = []
@@ -217,7 +273,7 @@ class TestRecorder:
         recorder.bind_identity(identity_of(table1_db))
         recorder.attach({})
         recorder.round_done(4)
-        recorder.partition_done(1)
+        recorder.partition_done(1, {})
         assert len(seen) == 2
         assert seen[1].completed_partitions == (1,)
 
@@ -266,9 +322,10 @@ class TestMineIntegration:
         """The acceptance criterion: crash anywhere, resume, equal output.
 
         On every first-level executor.  ``disc.partition`` fires in the
-        shared loop; ``disc.round`` is armed where the inline executor
-        runs the rounds (a cluster worker answers it with a retryable
-        500, and a pool worker process never sees the plan).
+        shared loop; ``disc.round`` is armed where the rounds run in
+        this process — the inline executor and degraded cluster mining
+        (a cluster worker answers it with a retryable 500, and a pool
+        worker process never sees the plan).
         """
         algorithm, options, worker, sites = EXECUTORS[executor]
         if worker is not None:

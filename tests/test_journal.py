@@ -11,6 +11,8 @@ import json
 
 import pytest
 
+from repro.core.checkpoint import MiningCheckpoint
+from repro.core.order import sort_key
 from repro.db.database import SequenceDatabase
 from repro.exceptions import InjectedFaultError, InvalidParameterError
 from repro.faults import FaultPlan, fault_plan
@@ -228,3 +230,131 @@ class TestRecovery:
             "resumed": 0, "restarted": 0, "failed": 0, "corrupt_lines": 0,
         }
         service.close()
+
+
+def pattern_bytes(patterns) -> bytes:
+    """A result's patterns as serialised bytes, in the comparative order."""
+    ordered = sorted(patterns.items(), key=lambda entry: sort_key(entry[0]))
+    return json.dumps([[list(map(list, raw)), count] for raw, count in ordered]).encode()
+
+
+def journaled_run(tmp_path, db) -> tuple[list[str], str, object]:
+    """One uninterrupted journaled mine: its journal lines, id, result."""
+    path = tmp_path / "full.jsonl"
+    service = MiningService(workers=1, journal=JobJournal(path))
+    service.register_database("demo", db)
+    job = service.submit_mine("demo", 2)
+    service.wait(job.id, timeout=60)
+    service.close()
+    assert isinstance(job.result, MineOutcome)
+    lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line]
+    return lines, job.id, job.result.result
+
+
+def checkpoint_payloads(lines: list[str], job_id: str) -> list[dict]:
+    records = [json.loads(line) for line in lines]
+    return [
+        record["checkpoint"] for record in records
+        if record["event"] == "checkpoint" and record["job"] == job_id
+    ]
+
+
+def recover_from(path, db):
+    """Recover a service over *path* and wait for its one recovered job."""
+    (entry,) = replay_journal(path).interrupted()
+    service = MiningService(workers=1, journal=JobJournal(path))
+    service.register_database("demo", db)
+    summary = service.recover()
+    job = service.wait(entry.job_id, timeout=60)
+    service.close()
+    assert isinstance(job.result, MineOutcome)
+    return summary, job.result.result
+
+
+class TestDeltaCheckpoints:
+    def test_journal_writes_each_pattern_once(self, tmp_path, db):
+        lines, job_id, result = journaled_run(tmp_path, db)
+        payloads = checkpoint_payloads(lines, job_id)
+        assert len(payloads) > 1
+        assert sum(len(p["patterns"]) for p in payloads) == len(result.patterns)
+        partitions = [lam for p in payloads for lam in p["completed_partitions"]]
+        assert len(partitions) == len(set(partitions)) == len(payloads)
+        # the records fold back into the complete result
+        folded = MiningCheckpoint.fold(
+            MiningCheckpoint.from_dict(p) for p in payloads
+        )
+        assert dict(folded.patterns) == result.patterns
+
+    def test_mine_without_journal_never_serialises_checkpoints(
+        self, db, monkeypatch
+    ):
+        def refuse(self):
+            raise AssertionError("checkpoint serialised without a journal")
+
+        monkeypatch.setattr(MiningCheckpoint, "to_dict", refuse)
+        service = MiningService(workers=1)
+        service.register_database("demo", db)
+        job = service.submit_mine("demo", 2)
+        service.wait(job.id, timeout=60)
+        service.close()
+        assert job.error is None
+        assert isinstance(job.result, MineOutcome)
+        assert job.result.result.patterns == mine(db, 2).patterns
+        assert job.progress is not None  # the sink still saw every boundary
+
+    def test_duplicated_delta_replays_to_the_same_checkpoint(self, tmp_path, db):
+        reference = mine(db, 2)
+        path, job_id = interrupted_journal(tmp_path, db)
+        once = replay_journal(path).entries[job_id].checkpoint()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        doubled: list[str] = []
+        for line in lines:
+            doubled.append(line)
+            if json.loads(line)["event"] == "checkpoint":
+                doubled.append(line)  # as a retry after a lost fsync would
+        path.write_text("\n".join(doubled) + "\n", encoding="utf-8")
+        entry = replay_journal(path).entries[job_id]
+        assert len(entry.checkpoints) == 2 * len(once.completed_partitions)
+        assert entry.checkpoint() == once
+        summary, result = recover_from(path, db)
+        assert summary["resumed"] == 1
+        assert pattern_bytes(result.patterns) == pattern_bytes(reference.patterns)
+
+    def test_recovery_from_every_cut_is_byte_identical(self, tmp_path, db):
+        lines, job_id, result = journaled_run(tmp_path, db)
+        expected = pattern_bytes(result.patterns)
+        cuts = [
+            index for index, line in enumerate(lines)
+            if json.loads(line)["event"] == "checkpoint"
+        ]
+        assert len(cuts) > 1
+        for number, cut in enumerate(cuts, start=1):
+            path = tmp_path / f"cut{number}.jsonl"
+            path.write_text("\n".join(lines[: cut + 1]) + "\n", encoding="utf-8")
+            entry = replay_journal(path).entries[job_id]
+            resumed_from = entry.checkpoint()
+            assert len(resumed_from.completed_partitions) == number
+            summary, recovered = recover_from(path, db)
+            assert summary["resumed"] == 1, number
+            assert recovered.complete
+            assert pattern_bytes(recovered.patterns) == expected, number
+            # the recovered run journals only what the cut had not
+            payloads = checkpoint_payloads(
+                path.read_text(encoding="utf-8").splitlines(), job_id
+            )
+            assert sum(len(p["patterns"]) for p in payloads) == len(result.patterns)
+
+    def test_version_1_checkpoint_downgrades_to_restart(self, tmp_path, db):
+        reference = mine(db, 2)
+        path, job_id = interrupted_journal(tmp_path, db)
+        lines = []
+        for line in path.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            if record["event"] == "checkpoint":
+                record["checkpoint"]["version"] = 1  # a full v1 payload
+                line = json.dumps(record, separators=(",", ":"))
+            lines.append(line)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        summary, result = recover_from(path, db)
+        assert summary["restarted"] == 1 and summary["resumed"] == 0
+        assert pattern_bytes(result.patterns) == pattern_bytes(reference.patterns)

@@ -80,8 +80,8 @@ class TestCheckpointPlacement:
         recorder = CheckpointRecorder()
         original_done = recorder.partition_done
 
-        def cancel_after_two(lam: int) -> None:
-            original_done(lam)
+        def cancel_after_two(lam: int, patterns: dict) -> None:
+            original_done(lam, patterns)
             if len(recorder.completed_partitions) == 2:
                 token.cancel("captured enough")
 

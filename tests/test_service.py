@@ -592,9 +592,20 @@ class TestMiningService:
             jobs = [svc.submit_mine("t1", n) for n in (1, 2, 3)]
         assert all(job.state == DONE for job in jobs)
 
-    def test_partial_result_is_done_but_never_cached(self, service):
+    def test_partial_result_is_done_but_never_cached(self, service, monkeypatch):
+        import repro.service.service as service_module
+
+        real_mine = service_module.mine
+
+        def slow_mine(*args, **kwargs):
+            # The deadline must expire after the job starts: one that
+            # expires while the job waits for a worker cancels it instead.
+            time.sleep(0.3)
+            return real_mine(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "mine", slow_mine)
         service.register_database("deep", make_db(DEEP_TEXTS))
-        job = service.submit_mine("deep", 2, deadline_seconds=0.0001)
+        job = service.submit_mine("deep", 2, deadline_seconds=0.1)
         service.wait(job.id, timeout=30.0)
         assert job.state == DONE
         partial = job.result
