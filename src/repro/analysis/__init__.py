@@ -7,8 +7,17 @@ Two engines share one findings/suppression/reporting substrate:
   support counting in the DISC loop", Lemmas 2.1/2.2) into gates;
 * the whole-program checker (``repro check``) — parses every module
   into one project model, builds a name-resolution call graph and runs
-  the cross-module rule families: CONC (lock discipline), FLOW
-  (exception flow and cancellation liveness), HOT (hot-loop hygiene).
+  the cross-module rule families: CONC (lock discipline and lock
+  order), FLOW (cancellation liveness), HOT (hot-loop hygiene) and WIRE
+  (events, retry decisions and metric names against
+  :mod:`repro.contracts`).
+
+A rule stays in the catalog while it guards structure the code really
+has: each one either caught a real defect or watches live structure in
+``src``.  Where the runtime already
+holds a contract (``validate_event``, ``validate_error_body``, the HTTP
+error path answering from the taxonomy), there is no second table to
+compare it against.
 
 Stdlib-only (``ast`` + ``tokenize``); see ``docs/DEVELOPMENT.md`` for
 the full rule catalog.

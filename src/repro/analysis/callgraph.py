@@ -129,23 +129,6 @@ class Resolver:
                 names.append(self.resolve_dotted_in_module(cls.module, dotted))
         return names
 
-    def ancestor_qnames(self, cls: ClassInfo) -> set[str]:
-        """Every (transitive) base name, including unresolvable leaves."""
-        out: set[str] = set()
-        stack = [cls]
-        seen = {cls.qname}
-        while stack:
-            current = stack.pop()
-            for base in self.base_qnames(current):
-                if base in out:
-                    continue
-                out.add(base)
-                base_cls = self.project.classes.get(base)
-                if base_cls is not None and base_cls.qname not in seen:
-                    seen.add(base_cls.qname)
-                    stack.append(base_cls)
-        return out
-
     def mro(self, cls: ClassInfo) -> list[ClassInfo]:
         """Left-to-right depth-first linearisation (cached)."""
         cached = self._mro_cache.get(cls.qname)
@@ -171,11 +154,10 @@ class Resolver:
 
     def subclasses_of(self, qname: str) -> list[ClassInfo]:
         """Every project class whose MRO reaches *qname* (itself included)."""
-        out: list[ClassInfo] = []
-        for cls in self.project.classes.values():
-            if cls.qname == qname or qname in self.ancestor_qnames(cls):
-                out.append(cls)
-        return out
+        return [
+            cls for cls in self.project.classes.values()
+            if any(entry.qname == qname for entry in self.mro(cls))
+        ]
 
     # -- annotations -------------------------------------------------------
 

@@ -2,20 +2,18 @@
 
 Parses every module under the given paths into one
 :class:`~repro.analysis.project.ProjectModel`, builds the call graph and
-runs the registered whole-program rules (CONC, FLOW, HOT) over it.
+runs the registered whole-program rules (CONC, FLOW, HOT, WIRE) over it.
 Findings use the same :class:`~repro.analysis.findings.Finding` shape,
 the same ``# repro: allow[RULE]`` suppressions and the same reporters as
 the per-file linter, so ``repro check`` and ``repro lint`` compose in CI.
 
-Exit semantics match the linter: 0 clean, 1 findings, 2 when the
-analysis itself could not run (unparseable file, unknown rule, crash).
+Both subcommands run through :mod:`repro.analysis.runner`, with the
+same exit codes: 0 clean, 1 findings, 2 when the analysis itself could
+not run (unparseable file, unknown rule, crash).
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-import traceback
 from pathlib import Path
 from typing import Iterable, Sequence, Type
 
@@ -25,16 +23,13 @@ from repro.analysis.callgraph import build_call_graph
 from repro.analysis import conc as _conc  # noqa: F401  (side-effect import)
 from repro.analysis import flow as _flow  # noqa: F401  (side-effect import)
 from repro.analysis import hot as _hot  # noqa: F401  (side-effect import)
-from repro.analysis import statemachine as _statemachine  # noqa: F401  (side-effect import)
 from repro.analysis import wire as _wire  # noqa: F401  (side-effect import)
-from repro.analysis.findings import PARSE_ERROR_ID, Finding
+from repro.analysis.findings import Finding
 from repro.analysis.project import ProjectModel, load_project
-from repro.analysis.reporting import render_json, render_sarif, render_text
 from repro.analysis.visitor import (
     ProjectRule,
     expand_rule_selection,
     project_rule_catalog,
-    render_rule_summaries,
 )
 
 
@@ -74,74 +69,3 @@ def check_paths(
     project = load_project(paths)
     findings = check_project(project, rule_ids=rule_ids)
     return findings, len(project.modules) + len(project.parse_errors)
-
-
-def list_project_rules() -> str:
-    """The unified rule catalog (shared with ``repro lint --list-rules``)."""
-    return render_rule_summaries()
-
-
-def run_check(
-    paths: Sequence[str],
-    output_format: str = "text",
-    rule_ids: Sequence[str] | None = None,
-    show_rules: bool = False,
-) -> int:
-    """Check *paths*; 0 clean, 1 findings, 2 analysis failure."""
-    if show_rules:
-        print(list_project_rules())
-        return 0
-    missing = [path for path in paths if not Path(path).exists()]
-    if missing:
-        for path in missing:
-            print(f"error: no such file or directory: {path}", file=sys.stderr)
-        return 2
-    try:
-        findings, checked = check_paths(paths, rule_ids=rule_ids)
-    except ValueError as exc:  # unknown rule id in --rules
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception:  # analysis crash: report, never masquerade as clean
-        print("error: analysis crashed", file=sys.stderr)
-        traceback.print_exc()
-        return 2
-    if output_format == "json":
-        print(render_json(findings, checked))
-    elif output_format == "sarif":
-        print(render_sarif(findings, checked, tool_name="repro-check"))
-    else:
-        print(render_text(findings, checked))
-    if any(finding.rule_id == PARSE_ERROR_ID for finding in findings):
-        return 2
-    return 1 if findings else 0
-
-
-def add_check_arguments(parser: argparse.ArgumentParser) -> None:
-    """Install the check options on *parser* (shared with the repro CLI)."""
-    parser.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files or directories to analyse (default: src)",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--rules", default="",
-        help="comma-separated rule ids to run (default: every rule)",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print the whole-program rule catalog and exit",
-    )
-
-
-def check_from_args(args: argparse.Namespace) -> int:
-    """Run the checker from parsed arguments (argparse Namespace)."""
-    rule_ids = [part.strip() for part in args.rules.split(",") if part.strip()]
-    return run_check(
-        args.paths,
-        output_format=args.format,
-        rule_ids=rule_ids or None,
-        show_rules=args.list_rules,
-    )

@@ -1,12 +1,10 @@
-"""Shared AST helpers for the declared-contract rule families (system S24).
+"""Shared AST helpers for the declared-contract rule family (system S24).
 
-The WIRE and STATE rules check both sides of the wire contracts declared
-in :mod:`repro.contracts` — events, JSON schemas, the error taxonomy,
-metric names and state machines — against the code that produces and
-consumes them.  This module holds the helpers they share: constant
-resolution against module-level string tables, locating anchor functions
-and module constants, and recognising ``emit(...)`` call sites through
-import aliases.
+The WIRE rules check the code that emits events, answers errors and
+produces metrics against the contracts declared in
+:mod:`repro.contracts`.  This module holds the helpers they share:
+locating functions by name and recognising ``emit(...)`` call sites
+(and the event names they can carry) through import aliases.
 
 The manifest itself is imported live (``repro.contracts``) rather than
 parsed out of the analysed project: the checker always runs with the
@@ -51,16 +49,6 @@ def _module_assignments(module: ModuleInfo) -> Iterator[tuple[ast.expr, ast.expr
             yield stmt.target, stmt.value
 
 
-def module_str_constants(module: ModuleInfo) -> dict[str, str]:
-    """Module-level ``NAME = "literal"`` assignments by name."""
-    table: dict[str, str] = {}
-    for target, value in _module_assignments(module):
-        text = constant_str(value)
-        if text is not None and isinstance(target, ast.Name):
-            table[target.id] = text
-    return table
-
-
 def module_str_dicts(module: ModuleInfo) -> dict[str, dict[str, str]]:
     """Module-level ``NAME = {"k": "v", ...}`` string-to-string dicts."""
     table: dict[str, dict[str, str]] = {}
@@ -80,36 +68,14 @@ def module_str_dicts(module: ModuleInfo) -> dict[str, dict[str, str]]:
     return table
 
 
-def module_assign_value(module: ModuleInfo, name: str) -> ast.expr | None:
-    """RHS of the module-level assignment to *name*, if any."""
-    for target, value in _module_assignments(module):
-        if isinstance(target, ast.Name) and target.id == name:
-            return value
-    return None
-
-
-def resolve_str(node: ast.AST | None, constants: dict[str, str]) -> str | None:
-    """A string expression: literal, or a module-level string constant."""
-    text = constant_str(node)
-    if text is not None:
-        return text
-    if isinstance(node, ast.Name):
-        return constants.get(node.id)
-    return None
-
-
-def functions_in_module(
-    project: ProjectModel, module: ModuleInfo
-) -> list[FunctionInfo]:
-    """Every function/method defined in *module* (nested defs included)."""
-    return [fn for fn in project.functions.values() if fn.module is module]
-
-
 def functions_named(
     project: ProjectModel, module: ModuleInfo, name: str
 ) -> list[FunctionInfo]:
     """Functions/methods in *module* with the simple name *name*."""
-    return [fn for fn in functions_in_module(project, module) if fn.name == name]
+    return [
+        fn for fn in project.functions.values()
+        if fn.module is module and fn.name == name
+    ]
 
 
 def emit_call_sites(
@@ -174,11 +140,10 @@ def _is_breaker_table(
     if resolved == BREAKER_EVENT_TABLE:
         return True
     if isinstance(expr, ast.Name):
-        value = module_assign_value(module, expr.id)
-        if value is not None:
-            alias = dotted_name(value)
-            if alias is not None:
-                return (
+        for target, value in _module_assignments(module):
+            if isinstance(target, ast.Name) and target.id == expr.id:
+                alias = dotted_name(value)
+                return alias is not None and (
                     graph.resolver.resolve_dotted_in_module(module, alias)
                     == BREAKER_EVENT_TABLE
                 )

@@ -26,13 +26,12 @@ from repro.analysis.suppress import (
 from repro.analysis.suppress import parse_suppressions
 
 # Importing the catalogs registers the default rules — both the per-file
-# DISC/LINT rules and the whole-program CONC/FLOW/HOT families, so that
+# DISC/LINT rules and the whole-program CONC/FLOW/HOT/WIRE families, so that
 # LINT001 recognises every id a suppression comment may legitimately name.
 from repro.analysis import rules as _rules  # noqa: F401  (side-effect import)
 from repro.analysis import conc as _conc  # noqa: F401  (side-effect import)
 from repro.analysis import flow as _flow  # noqa: F401  (side-effect import)
 from repro.analysis import hot as _hot  # noqa: F401  (side-effect import)
-from repro.analysis import statemachine as _statemachine  # noqa: F401  (side-effect import)
 from repro.analysis import wire as _wire  # noqa: F401  (side-effect import)
 from repro.analysis.visitor import (
     LintContext,

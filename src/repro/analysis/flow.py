@@ -1,139 +1,27 @@
-"""FLOW rules: exception flow and cancellation liveness (system S24).
+"""FLOW002: cancellation liveness of the resumable algorithms (system S24).
 
-FLOW001 walks the call graph from every ``do_*`` HTTP handler in
-``service/http.py`` and flags any reachable ``raise`` of a
-:class:`ReproError` subclass whose class (or an ancestor) has no entry in
-the module's ``_ERROR_STATUS`` table — an error the service would answer
-with a bare 500 instead of its mapped status.  Builtin exceptions and
-non-Repro errors are out of scope; a ``(ReproError, ...)`` catch-all row
-maps everything downstream of the base class.
-
-FLOW002 guards resumability: the ``supports_resume`` algorithms
-(``core/discall.py``, ``core/parallel.py``) must reach
-``CancelToken.checkpoint()`` from the body of every outermost loop,
-either lexically or through the call graph — otherwise a cancel or
-checkpoint request can stall behind an unbounded scan.  Inner loops are
-judged as part of their outermost statement; comprehensions are exempt
-(bounded by their iterable, no checkpoint side effects possible).
+The ``supports_resume`` algorithms (``core/discall.py``,
+``core/parallel.py``) must reach ``CancelToken.checkpoint()`` from the
+body of every outermost loop, either lexically or through the call
+graph — otherwise a cancel or checkpoint request can stall behind an
+unbounded scan.  Inner loops are judged as part of their outermost
+statement; comprehensions are exempt (bounded by their iterable, no
+checkpoint side effects possible).
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.analysis.callgraph import CallGraph, FunctionInfo, dotted_name
+from repro.analysis.callgraph import CallGraph, FunctionInfo
 from repro.analysis.findings import Finding
-from repro.analysis.project import ModuleInfo, ProjectModel
+from repro.analysis.project import ProjectModel
 from repro.analysis.visitor import ProjectRule, iter_subtree, register_project
-
-#: module (rel path) holding the HTTP handlers and their status table
-HTTP_MODULE = "service/http.py"
-ERROR_TABLE = "_ERROR_STATUS"
-REPRO_ERROR = "ReproError"
 
 #: modules implementing ``supports_resume`` algorithms
 RESUME_MODULES = ("core/discall.py", "core/parallel.py")
 CANCEL_MODULE = "core/cancel.py"
 CANCEL_TOKEN = "CancelToken"
-
-
-def _simple(qname: str) -> str:
-    return qname.rsplit(".", 1)[-1]
-
-
-def _error_table(module: ModuleInfo, graph: CallGraph) -> set[str]:
-    """Exception qnames mapped to a status in ``_ERROR_STATUS``."""
-    mapped: set[str] = set()
-    for stmt in module.tree.body:
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-            value = stmt.value
-        elif isinstance(stmt, ast.AnnAssign):
-            targets = [stmt.target]
-            value = stmt.value
-        else:
-            continue
-        if not any(
-            isinstance(target, ast.Name) and target.id == ERROR_TABLE
-            for target in targets
-        ):
-            continue
-        if not isinstance(value, (ast.Tuple, ast.List)):
-            continue
-        for row in value.elts:
-            if not isinstance(row, (ast.Tuple, ast.List)) or not row.elts:
-                continue
-            dotted = dotted_name(row.elts[0])
-            if dotted is not None:
-                mapped.add(graph.resolver.resolve_dotted_in_module(module, dotted))
-    return mapped
-
-
-@register_project
-class HandlerErrorMappingRule(ProjectRule):
-    """FLOW001: every reachable ReproError has an HTTP status mapping."""
-
-    rule_id = "FLOW001"
-    title = "ReproError reachable from an HTTP handler has no status mapping"
-    rationale = (
-        "An unmapped ReproError escapes the handler's error translation "
-        "and surfaces as an opaque 500; every error class reachable from "
-        "a do_* handler must map (itself or via a base) in _ERROR_STATUS."
-    )
-    scopes = ("service/",)
-
-    def check(self, project: ProjectModel, graph: CallGraph) -> list[Finding]:
-        module = project.modules_by_rel.get(HTTP_MODULE)
-        if module is None:
-            return []
-        mapped = _error_table(module, graph)
-        handlers = [
-            method.qname
-            for cls in module.classes.values()
-            for method in cls.methods.values()
-            if method.name.startswith("do_")
-        ]
-        if not handlers:
-            return []
-        findings: list[Finding] = []
-        seen: set[tuple[str, int, int]] = set()
-        for qname in sorted(graph.reachable(handlers)):
-            fn = project.functions.get(qname)
-            if fn is None:
-                continue
-            for node in iter_subtree(fn.node, skip_functions=True):
-                if not isinstance(node, ast.Raise) or node.exc is None:
-                    continue
-                exc = node.exc
-                cls_expr = exc.func if isinstance(exc, ast.Call) else exc
-                dotted = dotted_name(cls_expr)
-                if dotted is None:
-                    continue
-                resolved = graph.resolver.resolve_dotted_in_module(fn.module, dotted)
-                chain = {resolved}
-                exc_cls = project.classes.get(resolved)
-                if exc_cls is not None:
-                    chain |= graph.resolver.ancestor_qnames(exc_cls)
-                if not any(_simple(entry) == REPRO_ERROR for entry in chain):
-                    continue  # builtin or non-Repro exception
-                if chain & mapped:
-                    continue
-                key = (fn.module.path, node.lineno, node.col_offset)
-                if key in seen:
-                    continue
-                seen.add(key)
-                findings.append(
-                    Finding(
-                        self.rule_id,
-                        fn.module.path,
-                        node.lineno,
-                        node.col_offset,
-                        f"{_simple(resolved)} raised in {fn.qname} is "
-                        "reachable from an HTTP handler but has no "
-                        f"{ERROR_TABLE} mapping",
-                    )
-                )
-        return sorted(findings, key=Finding.sort_index)
 
 
 def _outer_loops(

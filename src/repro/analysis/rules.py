@@ -492,10 +492,3 @@ class SuppressionsNameKnownRules(Rule):
                         0,
                         f"suppression names unknown rule id {rule_id!r}",
                     )
-
-
-#: The default rule set, in catalog order (import side effect: the
-#: @register decorators above populate the registry).
-def default_rule_ids() -> tuple[str, ...]:
-    """Rule ids enabled by default (all registered rules)."""
-    return tuple(sorted(known_rule_ids()))

@@ -72,21 +72,9 @@ class LintContext:
 
     # -- ancestry ----------------------------------------------------------
 
-    @property
-    def ancestors(self) -> tuple[ast.AST, ...]:
-        """Ancestors of the node being visited, outermost first."""
-        return tuple(self._stack)
-
     def inside(self, *node_types: type[ast.AST]) -> bool:
         """True when any ancestor is an instance of the given types."""
         return any(isinstance(node, node_types) for node in self._stack)
-
-    def enclosing_function(self) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-        """The innermost enclosing function definition, if any."""
-        for node in reversed(self._stack):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return node
-        return None
 
     # -- reporting ---------------------------------------------------------
 
@@ -204,7 +192,7 @@ def rule_family(rule_id: str) -> str:
     """The family of a rule id: the id with its trailing digits stripped.
 
     ``WIRE001`` -> ``WIRE``, ``DISC004`` -> ``DISC``.  ``--rules`` accepts
-    families as well as exact ids, so ``--rules WIRE,STATE`` selects every
+    families as well as exact ids, so ``--rules WIRE`` selects every
     contract rule without naming each one.
     """
     return rule_id.rstrip("0123456789")

@@ -66,7 +66,7 @@ def _run_key(run):
 
 
 def _median(values):
-    ordered = sorted(values)  # repro: allow[DISC002] — scalar floats
+    ordered = sorted(values)
     mid = len(ordered) // 2
     if len(ordered) % 2:
         return ordered[mid]
@@ -75,7 +75,7 @@ def _median(values):
 
 def _counter_findings(base_counters, cand_counters):
     findings = []
-    shared = sorted(set(base_counters) & set(cand_counters))  # repro: allow[DISC002]
+    shared = sorted(set(base_counters) & set(cand_counters))
     for name in shared:
         if base_counters[name] != cand_counters[name]:
             findings.append(
@@ -179,7 +179,7 @@ def compare_documents(
             findings.append(timing)
         base_phases = base.get("phase_seconds") or {}
         cand_phases = cand.get("phase_seconds") or {}
-        shared_phases = sorted(  # repro: allow[DISC002] — phase-name strings
+        shared_phases = sorted(
             set(base_phases) & set(cand_phases)
         )
         for phase in shared_phases:

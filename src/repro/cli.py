@@ -300,16 +300,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.runner import lint_from_args
+def _cmd_analyse(args: argparse.Namespace) -> int:
+    from repro.analysis.runner import run_from_args
 
-    return lint_from_args(args)
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.analysis.checker import check_from_args
-
-    return check_from_args(args)
+    return run_from_args(args.command, args)
 
 
 def _serve_worker(args: argparse.Namespace) -> int:
@@ -648,19 +642,17 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint", help="run the DISC-invariant static analysis over source files"
     )
-    from repro.analysis.runner import add_lint_arguments
+    from repro.analysis.runner import add_arguments
 
-    add_lint_arguments(lint)
-    lint.set_defaults(func=_cmd_lint)
+    add_arguments(lint)
+    lint.set_defaults(func=_cmd_analyse)
 
     check = sub.add_parser(
         "check",
-        help="run the whole-program analysis (call graph, CONC/FLOW/HOT rules)",
+        help="run the whole-program analysis (call graph, CONC/FLOW/HOT/WIRE rules)",
     )
-    from repro.analysis.checker import add_check_arguments
-
-    add_check_arguments(check)
-    check.set_defaults(func=_cmd_check)
+    add_arguments(check)
+    check.set_defaults(func=_cmd_analyse)
 
     algos = sub.add_parser("algorithms", help="list registered algorithms")
     algos.set_defaults(func=_cmd_algorithms)

@@ -41,11 +41,9 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
 
-contracts.verify_states("breaker", (CLOSED, OPEN, HALF_OPEN), CLOSED)
-
 #: numeric encoding for the ``cluster.breaker_state{worker}`` gauge:
 #: the gauge rises with severity, so alerts can threshold on ``>= 2``;
-#: declared next to the state machine so dashboards and code agree
+#: declared in :mod:`repro.contracts` so dashboards and code agree
 BREAKER_STATE_CODES: dict[str, int] = dict(contracts.BREAKER_STATE_CODES)
 
 #: transition listener: ``(old_state, new_state)``; called outside the lock

@@ -61,8 +61,6 @@ LIVE = "live"
 SUSPECT = "suspect"
 RETIRED = "retired"
 
-contracts.verify_states("membership", (LIVE, SUSPECT, RETIRED), LIVE)
-
 
 class WorkerTransport(Protocol):
     """What membership needs from a worker client: a health probe."""

@@ -147,7 +147,6 @@ class FaultPlan:
     @property
     def sites(self) -> tuple[str, ...]:
         """The armed site names, sorted."""
-        # repro: allow[DISC002] — scalar site-name strings, not sequences
         return tuple(sorted(self._rules))
 
     def hits(self) -> dict[str, int]:

@@ -32,7 +32,6 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 
 def _label_items(labels: dict[str, object]) -> LabelItems:
     """Canonical (sorted) form of a label mapping."""
-    # repro: allow[DISC002] — scalar label names, not sequences
     return tuple(sorted(labels.items()))
 
 
@@ -234,7 +233,6 @@ class MetricsRegistry:
         """All metrics as plain data, keyed by rendered name."""
         with self._lock:
             entries = list(self._metrics.items())
-        # repro: allow[DISC002] — (name, labels) string keys, not sequences
         return {
             render_name(name, labels): metric.snapshot()
             for (name, labels), metric in sorted(

@@ -61,7 +61,6 @@ class RunReport:
 
     def counter_value(self, name: str, **labels: object) -> int:
         """Value of one counter (0 when absent)."""
-        # repro: allow[DISC002] — scalar label names, not sequences
         entry = self.metrics.get(render_name(name, tuple(sorted(labels.items()))))
         if entry is None or entry.get("type") != "counter":
             return 0
@@ -136,7 +135,6 @@ class RunReport:
                 raise DataFormatError(
                     f"cannot merge metric {key!r} of unknown type {kind!r}"
                 )
-        # repro: allow[DISC002] — render_name keys, not sequence values
         ordered = {key: merged[key] for key in sorted(merged)}
         spans = sorted(
             list(self.spans) + list(other.spans),

@@ -45,50 +45,19 @@ from urllib.parse import parse_qs, urlsplit
 from repro import contracts
 from repro.core.sequence import format_seq
 from repro.db import io as dbio
-from repro.exceptions import (
-    DataFormatError,
-    InvalidParameterError,
-    ReproError,
-    UnknownAlgorithmError,
-)
+from repro.exceptions import InvalidParameterError, ReproError
 from repro.httpbase import NOT_FOUND, JsonHTTPServer, JsonRequestHandler
 from repro.obs.trace_context import TraceContext
-from repro.service.errors import (
-    ServiceClosedError,
-    ServiceOverloadedError,
-    UnknownDatabaseError,
-    UnknownJobError,
-    UnknownWorkerError,
-)
+from repro.service.errors import ServiceOverloadedError
 from repro.service.scheduler import DONE, Job
 from repro.service.service import MineOutcome, MineRequest, MiningService
 
-#: Error class -> (HTTP status, machine-readable error code).
-_ERROR_STATUS: tuple[tuple[type[ReproError], int, str], ...] = (
-    (ServiceOverloadedError, 429, "overloaded"),
-    (ServiceClosedError, 503, "shutting_down"),
-    (UnknownDatabaseError, 404, "unknown_database"),
-    (UnknownJobError, 404, "unknown_job"),
-    (UnknownWorkerError, 404, "unknown_worker"),
-    (UnknownAlgorithmError, 400, "unknown_algorithm"),
-    (DataFormatError, 400, "bad_database"),
-    (InvalidParameterError, 400, "bad_parameter"),
-    (ReproError, 400, "error"),
-)
-
-# A table that drifts from the declared taxonomy answers with statuses
-# the coordinator's retry policy was never told about — fail at import,
-# not in a handler.
-contracts.verify_error_status(_ERROR_STATUS)
-
 
 def _error_payload(exc: ReproError) -> tuple[int, dict[str, object]]:
-    """Map a service/library error to (status, JSON body)."""
+    """Map a service/library error to (status, JSON body) by the taxonomy."""
     message = str(exc.args[0]) if exc.args else str(exc)
-    for klass, status, code in _ERROR_STATUS:
-        if isinstance(exc, klass):
-            return status, {"error": {"code": code, "message": message}}
-    return 500, {"error": {"code": "internal", "message": message}}
+    rule = contracts.error_rule_for(exc)
+    return rule.status, {"error": {"code": rule.code, "message": message}}
 
 
 def job_payload(job: Job, top: int | None = None) -> dict[str, object]:

@@ -31,7 +31,6 @@ import time
 from collections import deque
 from typing import TYPE_CHECKING, Callable
 
-from repro import contracts
 from repro.core.cancel import CancelToken, cancel_scope
 from repro.exceptions import (
     InvalidParameterError,
@@ -57,8 +56,6 @@ RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
 CANCELLED = "cancelled"
-
-contracts.verify_states("job", (QUEUED, RUNNING, DONE, FAILED, CANCELLED), QUEUED)
 
 TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED})
 
@@ -100,7 +97,8 @@ class Job:
         self.done_event = threading.Event()
         #: runner invocations so far (0 until the first start)
         self.attempts = 0
-        #: freshest mining checkpoint; retries resume from here
+        #: freshest mining checkpoint; retries resume from here.  Dropped
+        #: once the job finishes: the result (or the journal) holds the work
         self.progress: "MiningCheckpoint | None" = None
         #: the trace identity this job runs (and journals, retries) under
         self.trace = trace
@@ -463,6 +461,7 @@ class JobScheduler:
         job.state = state
         job.error = error
         job.error_code = code
+        job.progress = None
         job.finished_at = time.monotonic()
         self._metrics.counter("service.jobs", state=state).add(1)
         self._latency.record(job.finished_at - job.submitted_at)

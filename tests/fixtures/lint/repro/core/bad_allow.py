@@ -7,3 +7,7 @@ suppresses nothing).
 
 def order_levels(levels):
     return sorted(levels)  # repro: allow[DISC999]
+
+
+def order_acknowledged(levels):
+    return sorted(levels, key=int)  # repro: allow[LINT001, DISC999]

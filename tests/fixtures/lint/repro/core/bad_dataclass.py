@@ -21,3 +21,8 @@ class Record:
 @dataclass(frozen=True, slots=True)
 class Packed:
     cid: int
+
+
+@dataclass
+class Acknowledged:  # repro: allow[DISC004]
+    cid: int

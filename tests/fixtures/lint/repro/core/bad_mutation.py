@@ -16,3 +16,7 @@ def grow(seq: RawSequence, flat: "FlatSequence", item: int) -> RawSequence:
     flat[0] = (item, 1)
     rebuilt = seq + ((item,),)
     return rebuilt
+
+
+def acknowledged(seq: RawSequence, item: int) -> None:
+    seq.append((item,))  # repro: allow[DISC003]

@@ -17,3 +17,7 @@ def mine_partition(group, active):
         print(member)
     logging.info("done")
     return getLogger(__name__)
+
+
+def acknowledged(group):
+    print(len(group))  # repro: allow[DISC006]

@@ -14,3 +14,9 @@ def discover(entries, delta, CountingArray):
         supports.update(array.counts())
         entries = entries[1:]
     return supports
+
+
+def acknowledged(entries, delta, CountingArray):
+    while len(entries) >= delta:
+        CountingArray(()).observe_all(entries)  # repro: allow[DISC001]
+        entries = entries[1:]

@@ -17,3 +17,5 @@ def run_job(job):
         raise RuntimeError("simulated first-attempt failure")
     chaos = os.environ["CHAOS_MODE"]  # line 18: env probe
     return job.run(chaos)
+
+DEBUG_FAULTS = os.getenv("DEBUG_FAULTS")  # repro: allow[DISC007]

@@ -9,6 +9,7 @@ the suppression hygiene of each rule, the reporters, the CLI exit codes
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -75,18 +76,6 @@ class TestConc002:
         assert all(line < 20 for _, line in found), found
 
 
-class TestFlow001:
-    def test_unmapped_error_reachable_from_handler(self):
-        assert findings_of("flow001", "FLOW001") == [("FLOW001", 24)]
-
-    def test_mapped_suppressed_and_unreachable_are_silent(self):
-        # MappedError has a status row; SuppressedError's raise carries
-        # an allow comment; unreachable_helper is not reachable from any
-        # do_* handler.  Only the UnmappedError raise fires.
-        lines = [line for _, line in findings_of("flow001", "FLOW001")]
-        assert lines == [24]
-
-
 class TestFlow002:
     def test_loop_without_checkpoint(self):
         assert findings_of("flow002", "FLOW002") == [("FLOW002", 30)]
@@ -123,42 +112,49 @@ class TestWire001:
         assert 9 not in lines  # allow[WIRE001] twin
         assert 13 not in lines  # well-formed emit
 
-    def test_rule_gates_on_the_manifest_marker(self):
-        # fixture trees without a repro/contracts.py module opt out —
-        # the flow001 tree re-uses real module paths and must not fire.
-        assert findings_of("flow001", "WIRE001") == []
-
-
-class TestWire002:
-    def test_undeclared_consumed_key(self):
-        # line 8 reads 'valuex', not a key of the metrics schema
-        assert findings_of("wire002", "WIRE002") == [("WIRE002", 8)]
-
-    def test_suppressed_twin_and_declared_keys_are_clean(self):
-        lines = [line for _, line in findings_of("wire002", "WIRE002")]
-        assert lines == [8]  # 'countx' on line 9 carries the allow
-
-    def test_rule_gates_on_the_manifest_marker(self):
-        assert findings_of("flow001", "WIRE002") == []
+    def test_rule_gates_on_the_manifest_marker(self, tmp_path):
+        # fixture trees without a repro/contracts.py module opt out
+        tree = tmp_path / "wire001"
+        shutil.copytree(FIXTURES / "wire001", tree)
+        (tree / "repro" / "contracts.py").unlink()
+        findings, _ = check_paths([tree], rule_ids=["WIRE001"])
+        assert findings == []
 
 
 class TestWire003:
-    def test_drifted_status_row(self):
-        # row 6 declares DataFormatError at 500; the taxonomy says 400
-        assert findings_of("wire003", "WIRE003") == [("WIRE003", 10)]
+    def test_classify_with_a_local_retry_table(self):
+        # classify() (line 14) walks its own copy of RETRYABLE_BY_CLASS
+        # instead of calling contracts.is_retryable: the PR-10 drift
+        assert findings_of("wire003", "WIRE003") == [("WIRE003", 14)]
 
-    def test_suppressed_extra_row_is_silent(self):
-        lines = [line for _, line in findings_of("wire003", "WIRE003")]
-        assert 13 not in lines  # the TeapotError row carries the allow
+    def test_suppressed_twin_is_silent(self, tmp_path):
+        # the coordinator's _http_error (line 4) re-derives its default
+        # the same way; only its allow comment keeps it quiet
+        found, _ = check_paths([FIXTURES / "wire003"], rule_ids=["WIRE003"])
+        assert not [f for f in found if f.path.endswith("coordinator.py")]
+        tree = tmp_path / "wire003"
+        shutil.copytree(FIXTURES / "wire003", tree)
+        twin = tree / "repro" / "cluster" / "coordinator.py"
+        twin.write_text(
+            twin.read_text().replace("  # repro: allow[WIRE003]", "")
+        )
+        found, _ = check_paths([tree], rule_ids=["WIRE003"])
+        assert [
+            f.line for f in found if f.path.endswith("coordinator.py")
+        ] == [4]
 
-    def test_rule_gates_on_the_manifest_marker(self):
-        # flow001 has its own toy _ERROR_STATUS in repro/service/http.py
-        assert findings_of("flow001", "WIRE003") == []
+    def test_rule_gates_on_the_manifest_marker(self, tmp_path):
+        # the same tree without its repro/contracts.py marker opts out
+        tree = tmp_path / "wire003"
+        shutil.copytree(FIXTURES / "wire003", tree)
+        (tree / "repro" / "contracts.py").unlink()
+        findings, _ = check_paths([tree], rule_ids=["WIRE003"])
+        assert findings == []
 
 
 class TestWire004:
     def test_undeclared_invariant_and_undeclared_site(self):
-        # compare.py line 7 gates on a metric the registry never heard
+        # compare.py line 7 reads an invariant the registry never heard
         # of; pipeline.py line 7 produces it.
         assert findings_of("wire004", "WIRE004") == [
             ("WIRE004", 7),
@@ -175,23 +171,12 @@ class TestWire004:
         assert findings_of("hot001", "WIRE004") == []
 
 
-class TestState001:
-    def test_undeclared_breaker_edge(self):
-        # closed -> half_open is not in the declared transition table
-        assert findings_of("state001", "STATE001") == [("STATE001", 14)]
-
-    def test_suppressed_twin_and_legal_edge_are_clean(self):
-        lines = [line for _, line in findings_of("state001", "STATE001")]
-        assert 18 not in lines  # allow[STATE001] twin
-        assert 22 not in lines  # closed -> open is declared
-
-
 class TestCatalog:
     def test_every_project_rule_is_documented(self):
         catalog = project_rule_catalog()
         for rule_id in (
-            "CONC001", "CONC002", "FLOW001", "FLOW002", "HOT001",
-            "WIRE001", "WIRE002", "WIRE003", "WIRE004", "STATE001",
+            "CONC001", "CONC002", "FLOW002", "HOT001",
+            "WIRE001", "WIRE003", "WIRE004",
         ):
             assert rule_id in catalog
             assert catalog[rule_id].title
@@ -202,7 +187,7 @@ class TestCatalog:
             check_paths([FIXTURES / "conc001"], rule_ids=["NOPE001"])
 
     def test_family_prefix_selects_every_member(self):
-        # --rules WIRE must reach all four members: the wire001 fixture
+        # --rules WIRE must reach every member: the wire001 fixture
         # fires under the family exactly as under the exact id.
         family, _ = check_paths([FIXTURES / "wire001"], rule_ids=["WIRE"])
         exact, _ = check_paths([FIXTURES / "wire001"], rule_ids=["WIRE001"])
@@ -236,7 +221,7 @@ class TestCli:
         # the conc002 fixture is clean under every rule but CONC002
         # (CONC001's meta-check would fire on its undeclared locks)
         assert main(
-            ["check", "--rules", "FLOW001", str(FIXTURES / "conc002")]
+            ["check", "--rules", "FLOW002", str(FIXTURES / "conc002")]
         ) == 0
         capsys.readouterr()
 
@@ -244,18 +229,23 @@ class TestCli:
         assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in (
-            "CONC001", "CONC002", "FLOW001", "FLOW002", "HOT001",
-            "WIRE001", "WIRE002", "WIRE003", "WIRE004", "STATE001",
+            "CONC001", "CONC002", "FLOW002", "HOT001",
+            "WIRE001", "WIRE003", "WIRE004",
             "DISC001",  # the listing is unified across both engines
         ):
             assert rule_id in out
+        for retired in ("FLOW001", "WIRE002", "STATE001"):
+            assert retired not in out
 
     def test_family_rules_filter_on_the_cli(self, capsys):
         assert main(
-            ["check", "--rules", "WIRE,STATE", str(FIXTURES / "wire001")]
+            ["check", "--rules", "WIRE", str(FIXTURES / "wire001")]
         ) == 1
         out = capsys.readouterr().out
         assert "WIRE001" in out
+        # STATE is no longer a rule family: an unknown selection
+        assert main(["check", "--rules", "WIRE,STATE", str(SRC)]) == 2
+        assert "unknown rule id" in capsys.readouterr().err
 
     def test_json_format(self, capsys):
         assert main(

@@ -7,6 +7,7 @@ checkpoint, restart on fingerprint mismatch, fail unresumable jobs.
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -17,6 +18,7 @@ from repro.db.database import SequenceDatabase
 from repro.exceptions import InjectedFaultError, InvalidParameterError
 from repro.faults import FaultPlan, fault_plan
 from repro.mining.api import mine
+from repro.obs.events import EventLog, event_log
 from repro.service import (
     JobJournal,
     MineOutcome,
@@ -294,13 +296,17 @@ class TestDeltaCheckpoints:
         monkeypatch.setattr(MiningCheckpoint, "to_dict", refuse)
         service = MiningService(workers=1)
         service.register_database("demo", db)
-        job = service.submit_mine("demo", 2)
-        service.wait(job.id, timeout=60)
+        buffer = io.StringIO()
+        with event_log(EventLog(buffer)):
+            job = service.submit_mine("demo", 2)
+            service.wait(job.id, timeout=60)
         service.close()
         assert job.error is None
         assert isinstance(job.result, MineOutcome)
         assert job.result.result.patterns == mine(db, 2).patterns
-        assert job.progress is not None  # the sink still saw every boundary
+        # the sink still saw every partition boundary
+        events = [json.loads(line)["event"] for line in buffer.getvalue().splitlines()]
+        assert events.count("job.checkpoint") > 1
 
     def test_duplicated_delta_replays_to_the_same_checkpoint(self, tmp_path, db):
         reference = mine(db, 2)

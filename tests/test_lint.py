@@ -107,6 +107,34 @@ class TestRuleFixtures:
     def test_suppressed_fixture(self):
         assert findings_of(FIXTURES / "core" / "suppressed.py") == []
 
+    @pytest.mark.parametrize(
+        "fixture, rule",
+        [
+            ("core/disc.py", "DISC001"),
+            ("core/suppressed.py", "DISC002"),
+            ("core/bad_mutation.py", "DISC003"),
+            ("core/bad_dataclass.py", "DISC004"),
+            ("mining/bad_except.py", "DISC005"),
+            ("core/bad_print.py", "DISC006"),
+            ("service/bad_faults.py", "DISC007"),
+            ("core/bad_allow.py", "LINT001"),
+        ],
+    )
+    def test_suppressed_twin_fires_without_its_comment(self, fixture, rule):
+        # each fixture carries a violation silenced by allow[RULE]; the
+        # exact-findings tests above prove it silent, this proves it real
+        path = FIXTURES / fixture
+        source = path.read_text(encoding="utf-8")
+        assert f"allow[{rule}" in source
+
+        def count(text: str) -> int:
+            found = lint_source(text, path=str(path))
+            return sum(finding.rule_id == rule for finding in found)
+
+        assert count(source.replace(f"allow[{rule}", "allow[NOPE000")) > count(
+            source
+        )
+
 
 class TestScoping:
     """Rules apply only inside their declared path scopes."""

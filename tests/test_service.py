@@ -489,6 +489,15 @@ class TestMiningService:
         direct = mine(db, 2)
         assert outcome.result.patterns == direct.patterns
 
+    def test_finished_job_drops_its_checkpoint(self, service):
+        # the job history keeps finished jobs; their last checkpoint's
+        # chunk list must not ride along with the result
+        service.register_database("t1", make_db(TABLE1_TEXTS))
+        job = service.wait(service.submit_mine("t1", 2).id, timeout=30.0)
+        assert job.state == DONE
+        assert job.result.result.complete
+        assert job.progress is None
+
     def test_repeat_request_is_a_cache_hit(self, service):
         service.register_database("deep", make_db(DEEP_TEXTS))
         first = service.wait(service.submit_mine("deep", 4).id, timeout=30.0)

@@ -7,6 +7,9 @@ checkpoint, terminal ones fail immediately, exhaustion fails the job.
 
 from __future__ import annotations
 
+import io
+import json
+
 import pytest
 
 from repro.db.database import SequenceDatabase
@@ -19,6 +22,7 @@ from repro.exceptions import (
 )
 from repro.faults import FaultPlan, fault_plan
 from repro.mining.api import mine
+from repro.obs.events import EventLog, event_log
 from repro.service import (
     FAILED,
     MineOutcome,
@@ -119,12 +123,21 @@ class TestSchedulerRetries:
         reference = mine(db, 2)
         service = MiningService(workers=1, retry_policy=QUICK)
         service.register_database("demo", db)
-        with fault_plan(FaultPlan.from_spec("disc.partition:3")):
-            job = service.submit_mine("demo", 2)
-            service.wait(job.id, timeout=60)
+        buffer = io.StringIO()
+        with event_log(EventLog(buffer)):
+            with fault_plan(FaultPlan.from_spec("disc.partition:3")):
+                job = service.submit_mine("demo", 2)
+                service.wait(job.id, timeout=60)
         assert job.state == "done"
         assert job.attempts == 2
-        assert job.progress is not None  # the checkpoint the retry used
+        retries = [
+            record for record in map(json.loads, buffer.getvalue().splitlines())
+            if record["event"] == "job.retry"
+        ]
+        # the retry had a checkpoint to resume from ...
+        assert [record["partitions"] > 0 for record in retries] == [True]
+        # ... which the finished job no longer holds
+        assert job.progress is None
         outcome = job.result
         assert outcome.result.patterns == reference.patterns
         service.close()
