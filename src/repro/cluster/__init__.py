@@ -5,7 +5,7 @@ membership is known, which makes DISC embarrassingly shardable.  This
 package turns that fact into a small cluster:
 
 - :mod:`repro.cluster.payload` — the portable shard payload format
-  (one partition's members + identity), JSON and binary round-trips.
+  (one partition's members + identity) and its binary round-trip.
 - :mod:`repro.cluster.worker` — an HTTP worker that mines one payload
   per ``POST /shards`` request.
 - :mod:`repro.cluster.coordinator` — membership computation, cost-
@@ -30,7 +30,6 @@ from repro.cluster.breaker import (
 from repro.cluster.membership import WorkerMembership, WorkerRecord
 from repro.cluster.payload import (
     PAYLOAD_CONTENT_TYPE,
-    PAYLOAD_FORMAT,
     PAYLOAD_VERSION,
     RESULT_FORMAT,
     RESULT_VERSION,
@@ -48,7 +47,6 @@ __all__ = [
     "WorkerMembership",
     "WorkerRecord",
     "PAYLOAD_CONTENT_TYPE",
-    "PAYLOAD_FORMAT",
     "PAYLOAD_VERSION",
     "RESULT_FORMAT",
     "RESULT_VERSION",

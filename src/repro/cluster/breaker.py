@@ -18,12 +18,13 @@ State machine::
     half_open ──(probe fails)────> open   (backoff doubled, capped)
 
 Thread model: :meth:`allow` / :meth:`record_success` /
-:meth:`record_failure` are called from per-worker dispatch threads
-while :meth:`state` / :meth:`snapshot` are read by the coordinating
-thread, HTTP handler threads (``/healthz``) and the membership reaper —
-everything mutable lives under one lock.  The transition listener is
-invoked *outside* the lock so it may emit events or touch metric
-registries without any lock-ordering concern.
+:meth:`record_failure` are called by the coordinating thread of each
+cluster run, while :meth:`state` / :meth:`snapshot` are also read by
+HTTP handler threads (``/healthz``) and the membership reaper, and
+concurrent runs share a worker's breaker — everything mutable lives
+under one lock.  The transition listener is invoked *outside* the lock
+so it may emit events or touch metric registries without any
+lock-ordering concern.
 """
 
 from __future__ import annotations
@@ -116,20 +117,6 @@ class CircuitBreaker:
         with self._lock:
             return self._state
 
-    def ready(self) -> bool:
-        """Would :meth:`allow` admit a dispatch right now?  (No mutation.)
-
-        The coordinating thread uses this to decide whether spawning a
-        dispatch thread for the worker is worthwhile without consuming
-        the single half-open probe slot.
-        """
-        with self._lock:
-            if self._state == CLOSED:
-                return True
-            if self._state == OPEN:
-                return self._clock() - self._opened_at >= self._backoff
-            return not self._probe_inflight  # half_open
-
     def snapshot(self) -> dict[str, object]:
         """State + tunings for ``/healthz`` and the soak report."""
         with self._lock:
@@ -149,7 +136,7 @@ class CircuitBreaker:
 
         Returns True when the caller may send the worker a request.  In
         half-open, exactly one caller wins the probe slot until its
-        outcome is recorded (or :meth:`cancel_probe` releases it).
+        outcome is recorded, so call it only with a request to send.
         """
         transition: tuple[str, str] | None = None
         with self._lock:
@@ -205,18 +192,6 @@ class CircuitBreaker:
                     self._backoff = self.config.reset_seconds
             # already OPEN: a straggling failure changes nothing
         self._notify(transition)
-
-    def cancel_probe(self) -> None:
-        """Release an admitted half-open probe that was never sent.
-
-        A dispatch thread that wins the probe slot but finds no pending
-        shard (run finished, run aborted) must hand the slot back, or
-        the breaker would stay half-open-with-probe forever and refuse
-        every later run.
-        """
-        with self._lock:
-            if self._state == HALF_OPEN:
-                self._probe_inflight = False
 
     def _notify(self, transition: tuple[str, str] | None) -> None:
         if transition is not None and self._listener is not None:

@@ -10,32 +10,35 @@ over a :class:`WorkerPool` — largest first (cost-balanced), one
 in-flight shard per worker — and hands each result back to the loop,
 which merges and checkpoints it on the coordinating thread.
 
-Threading model: one dispatch thread per *dispatchable* worker pops
-payloads, POSTs them and parks the outcome on a notice queue; *all*
-bookkeeping — metrics, events, checkpoint recording, span grafting —
-happens on the coordinating thread that consumes the queue, because
-observations, recorders and the ambient trace are context-variable
-scoped and the checkpoint recorder is single-threaded by design.  The
-worker set is not frozen at start: the executor's wait loop calls
-:meth:`ShardRun.sync_workers` every poll tick, spawning a dispatch
-thread for any worker that joined the pool's
-:class:`~repro.cluster.membership.WorkerMembership` mid-job (or whose
-circuit breaker became ready again) — a freshly registered worker
-starts draining the pending queue with no restart.
+Threading model: the coordinating thread — the one running the loop —
+owns dispatch.  It keeps the pending deque, each shard's attempt count,
+which worker is busy, every breaker call, the stall clock and degraded
+mining; a worker's dispatch thread only runs the ``mine_shard`` RPCs it
+is handed and puts each answer on :attr:`ShardRun.outcomes`.  Metrics,
+events, checkpoint recording and span grafting stay on the coordinating
+thread too, because observations, recorders and the ambient trace are
+context-variable scoped and the recorder is single-threaded by design.
+Each pass of the loop offers a shard to every idle live worker, so a
+worker that joins the pool's
+:class:`~repro.cluster.membership.WorkerMembership` mid-job, or whose
+circuit breaker's backoff has elapsed, gets one on the next pass (at
+most an idle tick of 0.25 s) with no restart; when a shard comes back,
+the idle workers are refilled before the loop merges it.
 
 Failure policy: a transport-level failure (dead worker, timeout) is
 retryable — the shard goes back to the front of the queue
 (``cluster.shards_retried``) and counts only against the failing
 worker's :class:`~repro.cluster.breaker.CircuitBreaker`; a retryable
 *answer* (5xx) additionally charges the shard's ``max_shard_attempts``
-budget.  A breaker that opens stops that worker's dispatch thread; the
-half-open probe is re-admitted by ``sync_workers`` after the backoff.
-When *nothing* can dispatch — every worker retired or open, no RPC in
-flight — the run is **stalled**: after ``degrade_after`` seconds the
-coordinator degrades gracefully, mining the remaining shards on the
-coordinating thread with the inline executor's per-partition function
-(``cluster.degraded``, ``cluster.shards_mined_locally``) so the job
-still completes byte-identical, just slower.  The run aborts with
+budget.  A worker whose breaker is open gets no shard until its backoff
+elapses and ``allow()`` admits one half-open probe; a run that ends
+before its probe answers counts the probe as failed.  When *nothing*
+can dispatch — every worker retired or open, no RPC in flight — the run
+is **stalled**: after ``degrade_after`` seconds the coordinator degrades
+gracefully, mining the remaining shards on the coordinating thread with
+the inline executor's per-partition function (``cluster.degraded``,
+``cluster.shards_mined_locally``) so the job still completes
+byte-identical, just slower.  The run aborts with
 :class:`~repro.exceptions.ClusterError` only when a shard exhausts
 ``max_shard_attempts``, a worker answers terminally, or degradation is
 disabled (``degrade=False``) while stalled.  ClusterError is *terminal*
@@ -45,6 +48,7 @@ shard granularity.
 
 from __future__ import annotations
 
+import http.client
 import json
 import queue
 import threading
@@ -54,10 +58,10 @@ import urllib.request
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Generator, Iterable, Iterator, cast
+from typing import Generator, Iterable, Iterator
 
 from repro import contracts
-from repro.cluster.breaker import BreakerConfig
+from repro.cluster.breaker import HALF_OPEN, BreakerConfig
 from repro.cluster.membership import WorkerMembership, WorkerRecord
 from repro.cluster.payload import (
     PAYLOAD_CONTENT_TYPE,
@@ -197,7 +201,7 @@ class WorkerClient:
                 body = response.read()
         except urllib.error.HTTPError as exc:
             raise self._http_error(exc) from exc
-        except (urllib.error.URLError, OSError) as exc:
+        except (urllib.error.URLError, OSError, http.client.HTTPException) as exc:
             raise _ShardAttemptError(
                 f"worker {self.name} unreachable: {exc}",
                 retryable=True, worker_fault=True,
@@ -268,7 +272,6 @@ class WorkerPool:
         timeout: float | ShardTimeout = 300.0,
         max_shard_attempts: int = 3,
         max_worker_failures: int = 3,
-        breaker_config: BreakerConfig | None = None,
         lease_seconds: float = 15.0,
         retire_grace: float | None = None,
         probe_timeout: float = 2.0,
@@ -301,10 +304,7 @@ class WorkerPool:
             lease_seconds=lease_seconds,
             retire_grace=retire_grace,
             probe_timeout=probe_timeout,
-            breaker_config=(
-                breaker_config
-                or BreakerConfig(failure_threshold=max_worker_failures)
-            ),
+            breaker_config=BreakerConfig(failure_threshold=max_worker_failures),
         )
         urls = list(urls)
         if not urls and not allow_empty:
@@ -335,255 +335,76 @@ class WorkerPool:
     def run(
         self, payloads: Iterable[ShardPayload], traceparent: str | None = None
     ) -> "ShardRun":
-        """Start one fan-out over *payloads*; consume ``run.notices``."""
-        return ShardRun(self, list(payloads), traceparent)
+        """One fan-out over *payloads*, for :func:`cluster_executor` to drive."""
+        return ShardRun(payloads, traceparent)
 
 
-#: notice kinds a ShardRun posts (first element of each tuple)
-DISPATCHED = "dispatched"
-SHARD_DONE = "done"
-SHARD_RETRY = "retry"
-RUN_FAILED = "failed"
+#: what a dispatch thread hands back: the worker it asked, the shard,
+#: and the worker's ``(patterns, report)`` or the attempt's error
+ShardAnswer = tuple[dict[RawSequence, int], RunReport | None]
+Outcome = tuple[
+    WorkerRecord[WorkerClient], ShardPayload, ShardAnswer | _ShardAttemptError
+]
 
 
 class ShardRun:
-    """One fan-out execution: dispatch threads feeding a notice queue.
+    """One fan-out: the pending shards and the queue their answers land on.
 
-    The pending deque is sorted by payload cost, largest first, so the
-    heaviest partitions start immediately and the small ones level the
-    tail.  Dispatch threads are spawned per dispatchable worker by
-    :meth:`sync_workers` — called again on every coordinating-loop tick,
-    so workers that join mid-run (or whose breaker backoff elapses) pick
-    up pending shards immediately.  Threads are daemons: ``close()``
-    stops new dispatch but does not interrupt an in-flight RPC — its
-    eventual outcome is simply never consumed; :meth:`join` bounds the
-    wait for them at shutdown.
+    ``pending`` is sorted by payload cost, largest first, so the heaviest
+    partitions start immediately and the small ones level the tail; only
+    the coordinating thread touches it.  :meth:`send` hands a shard to
+    its worker's dispatch thread — a daemon named
+    ``shard-dispatch-<url>``, started with the worker's first shard —
+    which runs the RPC and puts its :data:`Outcome` on ``outcomes``.
+    The threads keep no state of their own: :meth:`close` lets each one
+    exit once its in-flight RPC, if any, returns, and that answer is
+    dropped with the run.
     """
 
     def __init__(
-        self,
-        pool: WorkerPool,
-        payloads: list[ShardPayload],
-        traceparent: str | None,
+        self, payloads: Iterable[ShardPayload], traceparent: str | None
     ) -> None:
-        self._pool = pool
-        self._traceparent = traceparent
-        self.notices: "queue.Queue[tuple[object, ...]]" = queue.Queue()
-        self._wakeup = threading.Condition()
-        self._pending = deque(  # guarded-by: _wakeup
+        self.pending = deque(
             sorted(payloads, key=lambda payload: payload.cost(), reverse=True)
         )
-        self._attempts: dict[int, int] = {}  # guarded-by: _wakeup
-        self._remaining = len(payloads)  # guarded-by: _wakeup
-        self._in_flight = 0  # guarded-by: _wakeup
-        self._aborted = False  # guarded-by: _wakeup
-        # coordinating-thread only: worker url -> its dispatch thread
-        self._threads: dict[str, threading.Thread] = {}
-        self.sync_workers()
+        self.outcomes: "queue.Queue[Outcome]" = queue.Queue()
+        self._traceparent = traceparent
+        self._inboxes: dict[
+            WorkerRecord[WorkerClient], queue.SimpleQueue[ShardPayload | None]
+        ] = {}
 
-    def close(self) -> None:
-        """Stop dispatching new shards (idempotent)."""
-        with self._wakeup:
-            self._aborted = True
-            self._wakeup.notify_all()
-
-    # -- coordinating-thread control ----------------------------------------
-
-    def sync_workers(self) -> int:
-        """Spawn dispatch threads for newly dispatchable workers.
-
-        Called from the coordinating thread on every poll tick.  A
-        worker gets (at most) one live thread; a worker that joined the
-        membership mid-run, or whose breaker left the open state, gets a
-        thread here and starts pulling from the pending queue.  Returns
-        the number of threads spawned.
-        """
-        with self._wakeup:
-            if self._aborted or self._remaining == 0:
-                return 0
-        spawned = 0
-        for record in self._pool.membership.dispatch_candidates():
-            thread = self._threads.get(record.url)
-            if thread is not None and thread.is_alive():
-                continue
-            thread = threading.Thread(
+    def send(
+        self, record: WorkerRecord[WorkerClient], shard: ShardPayload
+    ) -> None:
+        """Hand *shard* to *record*'s dispatch thread, starting it if new."""
+        inbox = self._inboxes.get(record)
+        if inbox is None:
+            inbox = self._inboxes[record] = queue.SimpleQueue()
+            threading.Thread(
                 target=self._dispatch,
-                args=(record,),
+                args=(record, inbox),
                 name=f"shard-dispatch-{record.url}",
                 daemon=True,
-            )
-            self._threads[record.url] = thread
-            thread.start()
-            spawned += 1
-        return spawned
+            ).start()
+        inbox.put(shard)
 
-    def stalled(self) -> bool:
-        """Pending shards with nothing able to move them.
+    def close(self) -> None:
+        """Let every dispatch thread exit after its in-flight RPC."""
+        for inbox in self._inboxes.values():
+            inbox.put(None)
 
-        True when work remains but no RPC is in flight and every
-        dispatch thread has exited (breakers open, workers retired).
-        The coordinating loop degrades to local mining when this holds
-        for ``degrade_after`` seconds.
-        """
-        alive = any(thread.is_alive() for thread in self._threads.values())
-        if alive:
-            return False
-        with self._wakeup:
-            return (
-                not self._aborted
-                and self._remaining > 0
-                and bool(self._pending)
-                and self._in_flight == 0
-            )
-
-    def take_local(self) -> ShardPayload | None:
-        """Pop one pending shard for the coordinator to mine itself.
-
-        Takes from the *cheap* end of the cost-sorted deque: if a worker
-        rejoins mid-degradation its thread keeps draining the expensive
-        end, and the slower local miner levels the tail.
-        """
-        with self._wakeup:
-            if self._aborted or not self._pending:
-                return None
-            return self._pending.pop()
-
-    def local_done(self, shard: ShardPayload) -> None:
-        """Account one locally mined shard (no notice: same thread)."""
-        with self._wakeup:
-            self._remaining -= 1
-            if self._remaining == 0:
-                self._wakeup.notify_all()
-
-    def pending_count(self) -> int:
-        with self._wakeup:
-            return len(self._pending)
-
-    def join(self, timeout: float = 5.0) -> bool:
-        """Join all dispatch threads; True when every one has exited.
-
-        ``close()`` first, then join: woken waiters observe the abort
-        and exit; only a thread blocked in an in-flight RPC can keep the
-        grace period busy, and it is a daemon — False just means the
-        caller should not wait longer.
-        """
-        deadline = time.monotonic() + timeout
-        for thread in list(self._threads.values()):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            thread.join(timeout=remaining)
-        return not any(
-            thread.is_alive() for thread in self._threads.values()
-        )
-
-    # -- dispatch threads ----------------------------------------------------
-
-    def _dispatch(self, record: WorkerRecord[WorkerClient]) -> None:
-        membership = self._pool.membership
-        while True:
-            if not self._await_work():
-                return
-            if not membership.dispatch_allowed(record):
-                return  # retired, or replaced by a rejoined generation
-            if not record.breaker.allow():
-                return  # open: sync_workers re-probes after the backoff
-            shard = self._take_shard()
-            if shard is None:
-                # lost the pop race (or the run just finished): hand a
-                # half-open probe slot back so the breaker cannot wedge
-                record.breaker.cancel_probe()
-                continue
-            self.notices.put((DISPATCHED, shard.lam, record.url))
+    def _dispatch(
+        self,
+        record: WorkerRecord[WorkerClient],
+        inbox: queue.SimpleQueue[ShardPayload | None],
+    ) -> None:
+        while (shard := inbox.get()) is not None:
+            answer: ShardAnswer | _ShardAttemptError
             try:
-                patterns, report = record.client.mine_shard(
-                    shard, traceparent=self._traceparent
-                )
+                answer = record.client.mine_shard(shard, self._traceparent)
             except _ShardAttemptError as exc:
-                if not exc.retryable:
-                    self._abandon(shard)
-                    self._abort(
-                        f"shard {shard.lam} failed terminally on "
-                        f"{record.url}: {exc}"
-                    )
-                    return
-                record.breaker.record_failure()
-                self._requeue(
-                    shard, record.url, str(exc),
-                    count_attempt=not exc.worker_fault,
-                )
-                continue
-            record.breaker.record_success()
-            self._complete(shard, record.url, patterns, report)
-
-    def _await_work(self) -> bool:
-        """Park until a shard is (probably) available; False when done."""
-        with self._wakeup:
-            while True:
-                if self._aborted or self._remaining == 0:
-                    return False
-                if self._pending:
-                    return True
-                self._wakeup.wait(0.1)
-
-    def _take_shard(self) -> ShardPayload | None:
-        with self._wakeup:
-            if self._aborted or not self._pending:
-                return None
-            self._in_flight += 1
-            return self._pending.popleft()
-
-    def _abandon(self, shard: ShardPayload) -> None:
-        """Drop an in-flight shard that will never be requeued."""
-        with self._wakeup:
-            self._in_flight -= 1
-
-    def _requeue(
-        self,
-        shard: ShardPayload,
-        worker: str,
-        message: str,
-        count_attempt: bool = True,
-    ) -> None:
-        with self._wakeup:
-            self._in_flight -= 1
-            attempts = self._attempts.get(shard.lam, 0)
-            if count_attempt:
-                attempts += 1
-                self._attempts[shard.lam] = attempts
-            exhausted = attempts >= self._pool.max_shard_attempts
-            if not exhausted:
-                self._pending.appendleft(shard)
-                self._wakeup.notify_all()
-        if exhausted:
-            self._abort(
-                f"shard {shard.lam} failed {attempts} times, "
-                f"last on {worker}: {message}"
-            )
-        else:
-            self.notices.put((SHARD_RETRY, shard.lam, worker, message))
-
-    def _complete(
-        self,
-        shard: ShardPayload,
-        worker: str,
-        patterns: dict[RawSequence, int],
-        report: RunReport | None,
-    ) -> None:
-        with self._wakeup:
-            self._in_flight -= 1
-            self._remaining -= 1
-            if self._remaining == 0:
-                self._wakeup.notify_all()
-        self.notices.put((SHARD_DONE, shard.lam, worker, patterns, report))
-
-    def _abort(self, message: str) -> None:
-        with self._wakeup:
-            already = self._aborted
-            self._aborted = True
-            self._wakeup.notify_all()
-        if not already:
-            self.notices.put((RUN_FAILED, message))
+                answer = exc
+            self.outcomes.put((record, shard, answer))
 
 
 def _absorb_worker_report(obs: Observation, report: RunReport) -> None:
@@ -649,6 +470,28 @@ def cluster_executor(
 
     token = active_token()
     run = pool.run(payloads, traceparent=traceparent)
+    pending = run.pending
+    attempts: dict[int, int] = {}  # lam -> answered failures
+    busy: dict[str, WorkerRecord[WorkerClient]] = {}  # url -> its one RPC
+
+    def dispatch() -> None:
+        """Hand the next pending shard to each idle worker that admits one."""
+        for record in pool.membership.dispatch_candidates():
+            if not pending:
+                return
+            if record.url in busy or not record.breaker.allow():
+                continue
+            shard = pending.popleft()
+            busy[record.url] = record
+            dispatched.add(1)
+            emit_event("shard.dispatched", lam=shard.lam, worker=record.url)
+            run.send(record, shard)
+
+    def fail(message: str) -> ClusterError:
+        failed.add(1)
+        emit_event("shard.failed", level="error", reason=message)
+        return ClusterError(message)
+
     done = 0
     degraded = False
     stall_since: float | None = None
@@ -658,94 +501,87 @@ def cluster_executor(
         ):
             while done < len(payloads):
                 token.checkpoint()
-                run.sync_workers()
-                if run.stalled():
-                    if stall_since is None:
-                        stall_since = time.monotonic()
-                else:
+                dispatch()
+                if busy:
                     stall_since = None
-                try:
-                    # poll fast while stalled, and not at all while
-                    # mining locally: degraded mining waits on mining,
-                    # not on the idle tick between every shard
-                    if degraded and stall_since is not None:
-                        notice = run.notices.get_nowait()
-                    else:
-                        notice = run.notices.get(
-                            timeout=0.02 if stall_since is not None else 0.25
-                        )
-                except queue.Empty:
-                    notice = None
-                if notice is not None:
-                    kind = notice[0]
-                    if kind == DISPATCHED:
-                        _, lam, worker = notice
-                        dispatched.add(1)
-                        emit_event("shard.dispatched", lam=lam, worker=worker)
-                    elif kind == SHARD_RETRY:
-                        _, lam, worker, message = notice
+                    try:
+                        record, shard, answer = run.outcomes.get(timeout=0.25)
+                    except queue.Empty:
+                        continue  # the idle tick: re-poll cancel and joins
+                    del busy[record.url]
+                    if isinstance(answer, _ShardAttemptError):
+                        if not answer.retryable:
+                            raise fail(
+                                f"shard {shard.lam} failed terminally on "
+                                f"{record.url}: {answer}"
+                            )
+                        record.breaker.record_failure()
+                        tries = attempts.get(shard.lam, 0)
+                        if not answer.worker_fault:
+                            tries = attempts[shard.lam] = tries + 1
+                        if tries >= pool.max_shard_attempts:
+                            raise fail(
+                                f"shard {shard.lam} failed {tries} times, "
+                                f"last on {record.url}: {answer}"
+                            )
+                        pending.appendleft(shard)
                         retried.add(1)
                         emit_event(
                             "shard.retried", level="warn",
-                            lam=lam, worker=worker, reason=message,
+                            lam=shard.lam, worker=record.url, reason=str(answer),
                         )
-                    elif kind == SHARD_DONE:
-                        _, lam, worker = notice[:3]
-                        patterns = cast("dict[RawSequence, int]", notice[3])
-                        report = cast("RunReport | None", notice[4])
-                        yield cast(int, lam), patterns
-                        done += 1
-                        merged.add(1)
-                        if report is not None:
-                            _absorb_worker_report(obs, report)
-                        emit_event(
-                            "shard.completed",
-                            lam=lam, worker=worker, patterns=len(patterns),
-                        )
-                    else:  # RUN_FAILED
-                        _, message = notice
-                        failed.add(1)
-                        emit_event("shard.failed", level="error", reason=message)
-                        raise ClusterError(str(message))
+                        continue
+                    record.breaker.record_success()
+                    dispatch()  # keep the worker busy while the loop merges
+                    patterns, report = answer
+                    yield shard.lam, patterns
+                    done += 1
+                    merged.add(1)
+                    if report is not None:
+                        _absorb_worker_report(obs, report)
+                    emit_event(
+                        "shard.completed",
+                        lam=shard.lam, worker=record.url, patterns=len(patterns),
+                    )
                     continue
-                if stall_since is None:
-                    continue
+                # stalled: shards pending and no worker admitted one
                 now = time.monotonic()
+                if stall_since is None:
+                    stall_since = now
                 # degradation is sticky for the run: once local mining
                 # has started, a failed re-probe does not re-arm the grace
                 if not degraded and now - stall_since < pool.degrade_after:
+                    time.sleep(0.02)
                     continue
                 if not pool.degrade:
-                    message = (
+                    raise fail(
                         "no live workers remain and degraded mining is "
-                        f"disabled ({run.pending_count()} shards pending)"
+                        f"disabled ({len(pending)} shards pending)"
                     )
-                    failed.add(1)
-                    emit_event("shard.failed", level="error", reason=message)
-                    raise ClusterError(message)
                 if not degraded:
                     degraded = True
                     emit_event(
                         "cluster.degraded", level="warn",
-                        reason="no dispatchable workers",
-                        pending=run.pending_count(),
+                        reason="no dispatchable workers", pending=len(pending),
                     )
-                local = run.take_local()
-                if local is None:
-                    continue
+                # the cheap end: a worker that rejoins takes the costly one
+                local = pending.pop()
                 local_patterns = job.mine(local.lam, list(local.members))
                 yield local.lam, local_patterns
-                run.local_done(local)
                 done += 1
                 merged.add(1)
                 mined_locally.add(1)
                 emit_event(
                     "shard.completed",
-                    lam=local.lam, worker="local",
-                    patterns=len(local_patterns),
+                    lam=local.lam, worker="local", patterns=len(local_patterns),
                 )
     finally:
         run.close()
+        # a probe whose answer this run will never read must not hold
+        # its worker's half-open slot: count it as failed
+        for record in busy.values():
+            if record.breaker.state == HALF_OPEN:
+                record.breaker.record_failure()
 
 
 def disc_all_cluster(

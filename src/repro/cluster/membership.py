@@ -7,9 +7,8 @@ marked ``live → suspect → retired`` as leases lapse.  A coordinator-side
 reaper thread sweeps the table, probing suspects' ``/healthz`` before
 giving up on them — a worker whose heartbeats are lost but whose data
 path still answers is re-admitted, not retired.  Workers joining
-mid-job start receiving shards from the pending queue on the
-coordinating thread's next sync (see
-:meth:`repro.cluster.coordinator.ShardRun.sync_workers`) — no
+mid-job get a shard from the pending queue on the run's next dispatch
+pass (see :func:`repro.cluster.coordinator.cluster_executor`) — no
 coordinator restart, no job restart.
 
 Statically configured workers (``--worker URL`` on the CLI, or a
@@ -30,13 +29,12 @@ harness fail membership traffic deterministically (see
 :mod:`repro.faults`).
 
 Thread model: the lease table is shared by HTTP handler threads
-(register/heartbeat/describe), the reaper thread, per-worker dispatch
-threads (liveness checks) and the coordinating thread
-(candidate listing) — all mutable record state is guarded by one
-membership lock.  Health probes run *outside* the lock (they block on
-sockets); their verdicts are applied under the lock only if the record
-generation is unchanged, so a worker that re-registered mid-probe is
-never clobbered by a stale verdict.
+(register/heartbeat/describe), the reaper thread and the coordinating
+thread of each cluster run (candidate listing) — all mutable record
+state is guarded by one membership lock.  Health probes run *outside*
+the lock (they block on sockets); their verdicts are applied under the
+lock only if the record generation is unchanged, so a worker that
+re-registered mid-probe is never clobbered by a stale verdict.
 """
 
 from __future__ import annotations
@@ -321,26 +319,13 @@ class WorkerMembership(Generic[ClientT]):
             return self._records.get(_normalise_url(url))
 
     def dispatch_candidates(self) -> list[WorkerRecord[ClientT]]:
-        """Workers worth (re)starting a dispatch thread for right now:
-        live, and with a breaker that would admit a request."""
+        """The live records, each its URL's current generation: the
+        workers a run's coordinating thread may hand a shard to."""
         with self._lock:
-            records = [
+            return [
                 record for record in self._records.values()
                 if record.state == LIVE
             ]
-        return [record for record in records if record.breaker.ready()]
-
-    def dispatch_allowed(self, record: WorkerRecord[ClientT]) -> bool:
-        """Is *record* still the current, live generation of its URL?
-
-        Dispatch threads re-check this each loop so a retirement or a
-        rejoin (which replaces the record) stops them promptly.
-        """
-        with self._lock:
-            return (
-                self._records.get(record.url) is record
-                and record.state == LIVE
-            )
 
     def counts(self) -> dict[str, int]:
         """Record counts by membership state (all states present)."""

@@ -3,23 +3,18 @@
 A :class:`ShardPayload` carries everything a worker needs to mine one
 ``<(lam)>``-partition — the member sequences that contain ``lam``, the
 frequent-item universe, delta, the miner options and the identity of the
-database it was cut from — with no other shared state.  The same bytes
-work over the wire (``POST /shards``) and on disk (the out-of-core spill
-format of ROADMAP direction 3).
+database it was cut from — with no other shared state.
 
-Two serialisations round-trip losslessly and carry the same digest:
+It has one serialisation, ``to_bytes``/``from_bytes``: an interned,
+delta-encoded item vocabulary plus varint-packed member sequences,
+framed by a magic prefix and a SHA-256 trailer.  The coordinator ships
+it on ``POST /shards``, and the local process pool pickles it instead of
+raw ``(lam, group, ...)`` tuples (size delta in EXPERIMENTS.md).  The
+payload digest is the SHA-256 of the canonical binary body, so decoding
+verifies integrity.
 
-- ``to_dict``/``from_dict`` — self-describing JSON for debugging and
-  manual submission (``{"format": "repro.shard-payload", "version": 1}``).
-- ``to_bytes``/``from_bytes`` — the compact binary form: an interned,
-  delta-encoded item vocabulary plus varint-packed member sequences,
-  framed by a magic prefix and a SHA-256 trailer.  This is what the
-  coordinator ships and what the local process pool pickles instead of
-  raw ``(lam, group, ...)`` tuples (size delta in EXPERIMENTS.md).
-
-The payload digest is the SHA-256 of the canonical binary body, so both
-serialisations verify integrity on decode and a payload's identity is
-independent of which wire form it travelled in.
+A worker answers with a JSON shard-result document
+(:func:`encode_shard_result` / :func:`decode_shard_result`).
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ from repro.core.sequence import RawSequence, canonical
 from repro.exceptions import DataFormatError, InvalidParameterError
 from repro.obs import RunReport
 
-PAYLOAD_FORMAT = "repro.shard-payload"
 PAYLOAD_VERSION = 1
 #: magic prefix of the binary encoding
 PAYLOAD_MAGIC = b"RSP0"
@@ -261,10 +255,10 @@ def _decode_body(body: bytes) -> ShardPayload:
 
 @dataclass(frozen=True, slots=True)
 class ShardPayload:
-    """One ``<(lam)>``-partition, packaged for the wire or the disk.
+    """One ``<(lam)>``-partition, packaged for the wire.
 
     Build instances through :meth:`create` (which computes the digest)
-    or one of the decoders; the constructor trusts its arguments.
+    or :meth:`from_bytes`; the constructor trusts its arguments.
     """
 
     lam: int
@@ -336,77 +330,6 @@ class ShardPayload:
                 "corrupt shard payload: body does not match its digest trailer"
             )
         return _decode_body(body)
-
-    def to_dict(self) -> dict[str, object]:
-        """Self-describing JSON document carrying the same digest."""
-        return {
-            "format": PAYLOAD_FORMAT,
-            "version": PAYLOAD_VERSION,
-            "lam": self.lam,
-            "delta": self.delta,
-            "database_digest": self.database_digest,
-            "options": {key: self.options[key] for key in sorted(self.options)},  # repro: allow[DISC002] — option names
-            "frequent_items": sorted(self.frequent_items),  # repro: allow[DISC002] — scalar int items
-            "members": [
-                [cid, [list(txn) for txn in seq]] for cid, seq in self.members
-            ],
-            "digest": self.digest,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> ShardPayload:
-        """Decode the JSON document; verify its digest against the body."""
-        if payload.get("format") != PAYLOAD_FORMAT:
-            raise DataFormatError(
-                f"not a shard payload document: format={payload.get('format')!r}"
-            )
-        if payload.get("version") != PAYLOAD_VERSION:
-            raise DataFormatError(
-                f"unsupported shard payload version {payload.get('version')!r} "
-                f"(supported: {PAYLOAD_VERSION})"
-            )
-        try:
-            data = cast("Mapping[str, Any]", payload)
-            lam = int(data["lam"])
-            delta = int(data["delta"])
-            database_digest = str(data["database_digest"])
-            options = data["options"]
-            if not isinstance(options, Mapping):
-                raise DataFormatError("shard payload options must be an object")
-            members = tuple(
-                (int(cid), canonical(seq)) for cid, seq in data["members"]
-            )
-            frequent_items = frozenset(
-                int(item) for item in data["frequent_items"]
-            )
-        except DataFormatError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"malformed shard payload document: {exc}") from exc
-        built = cls.create(
-            lam, delta, members, frequent_items,
-            options=options, database_digest=database_digest,
-        )
-        claimed = payload.get("digest")
-        if claimed is not None and claimed != built.digest:
-            raise DataFormatError(
-                f"shard payload digest mismatch: document claims {claimed!r}, "
-                f"body hashes to {built.digest!r}"
-            )
-        return built
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> ShardPayload:
-        try:
-            payload = json.loads(text)
-        except ValueError as exc:
-            raise DataFormatError(f"shard payload is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise DataFormatError("shard payload JSON must be an object")
-        return cls.from_dict(payload)
 
 
 def members_digest(members: Iterable[Member]) -> str:

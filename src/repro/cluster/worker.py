@@ -13,7 +13,7 @@ Endpoints::
     GET  /            endpoint index
     GET  /healthz     {"status": "ok", "role": "worker", ...}
     GET  /metrics     worker counters; JSON or Prometheus text
-    POST /shards      mine one payload (binary or JSON encoding)
+    POST /shards      mine one binary payload
 
 Tracing: an incoming ``traceparent`` header scopes the mining run, so
 the worker's spans and the coordinator's job share one trace id; the
@@ -43,12 +43,7 @@ import urllib.error
 import urllib.request
 from urllib.parse import parse_qs, quote, urlsplit
 
-from repro.cluster.payload import (
-    PAYLOAD_CONTENT_TYPE,
-    ShardPayload,
-    encode_shard_result,
-    mine_shard,
-)
+from repro.cluster.payload import ShardPayload, encode_shard_result, mine_shard
 from repro import contracts
 from repro.exceptions import DataFormatError, InvalidParameterError, ReproError
 from repro.httpbase import NOT_FOUND, JsonHTTPServer, JsonRequestHandler
@@ -167,7 +162,6 @@ class WorkerRequestHandler(JsonRequestHandler):
 
     def _post_shard(self) -> None:
         limit = self.worker.max_shard_bytes
-        content_type = (self.headers.get("Content-Type") or "").split(";")[0].strip()
         try:
             length = self._content_length()
             if length > limit:
@@ -183,18 +177,7 @@ class WorkerRequestHandler(JsonRequestHandler):
                 ))
                 return
             raw = self.rfile.read(length) if length else b""
-            if content_type == PAYLOAD_CONTENT_TYPE:
-                payload = ShardPayload.from_bytes(raw)
-            else:
-                try:
-                    doc = json.loads(raw.decode("utf-8"))
-                except (ValueError, UnicodeDecodeError) as exc:
-                    raise DataFormatError(
-                        f"shard request body is not JSON: {exc}"
-                    ) from exc
-                if not isinstance(doc, dict):
-                    raise DataFormatError("shard request body must be an object")
-                payload = ShardPayload.from_dict(doc)
+            payload = ShardPayload.from_bytes(raw)
         except (DataFormatError, InvalidParameterError) as exc:
             self.worker.record_failure()
             self._send_json(400, _error_body("bad_payload", exc, retryable=False))

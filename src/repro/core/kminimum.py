@@ -33,7 +33,7 @@ from repro.core.order import sort_key
 from repro.core.sequence import (
     FlatSequence,
     RawSequence,
-    Transaction,
+    _is_subset_sorted,
     all_k_subsequences,
     flatten,
     itemset_extension,
@@ -45,19 +45,6 @@ from repro.core.sequence import (
 #: number within the extended pattern (m = itemset extension into the last
 #: transaction, m + 1 = sequence extension into a new transaction).
 ExtensionPair = tuple[int, int]
-
-
-def _is_subset_sorted(sub: Transaction, sup: Transaction) -> bool:
-    """Two-pointer subset test for sorted transactions."""
-    i = 0
-    n = len(sup)
-    for item in sub:
-        while i < n and sup[i] < item:
-            i += 1
-        if i >= n or sup[i] != item:
-            return False
-        i += 1
-    return True
 
 
 class FrequentNode:

@@ -26,7 +26,7 @@ from typing import Iterable
 from repro.core.counting import count_frequent_items
 from repro.core.sequence import (
     RawSequence,
-    Transaction,
+    _is_subset_sorted,
     itemset_extension,
     seq_length,
     sequence_extension,
@@ -66,18 +66,6 @@ class Constraints:
             and self.max_span is None
             and self.max_length is None
         )
-
-
-def _is_subset_sorted(sub: Transaction, sup: Transaction) -> bool:
-    i = 0
-    n = len(sup)
-    for item in sub:
-        while i < n and sup[i] < item:
-            i += 1
-        if i >= n or sup[i] != item:
-            return False
-        i += 1
-    return True
 
 
 def contains_constrained(

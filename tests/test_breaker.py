@@ -57,7 +57,6 @@ class TestStateMachine:
     def test_starts_closed_and_allows(self):
         breaker, _clock = make()
         assert breaker.state == "closed"
-        assert breaker.ready()
         assert breaker.allow()
 
     def test_opens_after_threshold_consecutive_failures(self):
@@ -68,7 +67,6 @@ class TestStateMachine:
         breaker.record_failure()
         assert breaker.state == "open"
         assert not breaker.allow()
-        assert not breaker.ready()
 
     def test_success_resets_the_failure_streak(self):
         breaker, _clock = make(threshold=2)
@@ -82,9 +80,8 @@ class TestStateMachine:
         breaker.record_failure()
         assert not breaker.allow()
         clock.advance(4.9)
-        assert not breaker.ready()
+        assert not breaker.allow()
         clock.advance(0.2)
-        assert breaker.ready()
         assert breaker.allow()  # takes the probe slot
         assert breaker.state == "half_open"
         assert not breaker.allow()  # second caller refused
@@ -121,15 +118,6 @@ class TestStateMachine:
         breaker.record_failure()
         clock.advance(20.0)
         assert breaker.allow()
-
-    def test_cancel_probe_releases_the_slot(self):
-        breaker, clock = make(threshold=1, reset=5.0)
-        breaker.record_failure()
-        clock.advance(5.0)
-        assert breaker.allow()
-        assert not breaker.allow()
-        breaker.cancel_probe()
-        assert breaker.allow()  # slot available again
 
     def test_straggling_failure_while_open_changes_nothing(self):
         breaker, clock = make(threshold=1, reset=5.0)

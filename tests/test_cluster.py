@@ -7,9 +7,9 @@ decode, retry, merge — runs in-process without fixed ports.
 
 from __future__ import annotations
 
+import http.server
 import io
 import json
-import queue
 import threading
 import time
 import urllib.error
@@ -17,17 +17,20 @@ import urllib.request
 
 import pytest
 
+from repro.cluster.breaker import BreakerConfig
 from repro.cluster.coordinator import (
     WorkerClient,
     WorkerPool,
+    _ShardAttemptError,
+    cluster_executor,
     disc_all_cluster,
     register_cluster_algorithm,
 )
-from repro.cluster.payload import PAYLOAD_CONTENT_TYPE
+from repro.cluster.payload import PAYLOAD_CONTENT_TYPE, members_digest
 from repro.cluster.worker import make_worker_server
 from repro.core.checkpoint import CheckpointRecorder, recording_scope
 from repro.core.counting import count_frequent_items
-from repro.core.discall import disc_all
+from repro.core.discall import FirstLevelJob, disc_all
 from repro.db.database import SequenceDatabase
 from repro.exceptions import ClusterError, InvalidParameterError
 from repro.mining.api import mine
@@ -59,6 +62,35 @@ def workers():
     for server in servers:
         server.shutdown()
         server.server_close()
+
+
+def first_level(members, delta: int):
+    """The <(lam)>-partitions and job ``mine_first_level`` would hand an
+    executor (membership without reassignment; each is self-contained)."""
+    frequent = count_frequent_items(members, delta)
+    partitions = [
+        (lam, [(cid, seq) for cid, seq in members
+               if any(lam in txn for txn in seq)])
+        for lam in sorted(frequent)
+    ]
+    return partitions, FirstLevelJob(delta, frozenset(frequent), True, True, "table")
+
+
+def dispatch_threads(urls) -> list[threading.Thread]:
+    """Live dispatch threads aimed at any of *urls*."""
+    names = {f"shard-dispatch-{url}" for url in urls}
+    return [t for t in threading.enumerate() if t.name in names and t.is_alive()]
+
+
+def fast_breaker_pool(urls, **options) -> WorkerPool:
+    """A pool whose breakers open on one failure and back off 0.2 s."""
+    pool = WorkerPool(allow_empty=True, **options)
+    pool.membership.breaker_config = BreakerConfig(
+        failure_threshold=1, reset_seconds=0.2
+    )
+    for url in urls:
+        pool.membership.register(url, static=True)
+    return pool
 
 
 def saved_patterns(result) -> str:
@@ -135,6 +167,34 @@ class TestFailurePolicy:
         with pytest.raises(ClusterError, match="no live workers remain"):
             disc_all_cluster(table6_members, 3, pool)
 
+    def test_answer_cut_short_is_a_worker_fault(self, table6_members):
+        """A connection dropped mid-answer charges the worker, like a
+        refused one, instead of escaping the dispatch thread."""
+        from tests.test_cluster_payload import payload_for
+
+        class Truncating(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):  # noqa: N802 (http.server naming)
+                self.rfile.read(int(self.headers["Content-Length"]))
+                self.send_response(200)
+                self.send_header("Content-Length", "1000")
+                self.end_headers()
+                self.wfile.write(b"{")
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.HTTPServer(("127.0.0.1", 0), Truncating)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            client = WorkerClient(f"http://127.0.0.1:{server.server_address[1]}")
+            with pytest.raises(_ShardAttemptError) as excinfo:
+                client.mine_shard(payload_for(table6_members, 3, 1))
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert excinfo.value.retryable
+        assert excinfo.value.worker_fault
+
     def test_live_count_probes_health(self, workers):
         assert WorkerPool(workers).live_count() == 2
         assert WorkerPool([DEAD_URL, workers[0]]).live_count(timeout=0.5) == 1
@@ -199,21 +259,26 @@ class TestWorkerEndpoints:
         assert doc["role"] == "worker"
         assert {"shards_mined", "shards_failed", "uptime_seconds"} <= set(doc)
 
-    def test_json_payload_accepted(self, workers, table6_members):
+    def test_json_payload_answers_400_not_retryable(self, workers, table6_members):
+        """A JSON body is not a shard payload: the magic check refuses it."""
         from tests.test_cluster_payload import payload_for
 
         payload = payload_for(table6_members, 3, 1)
+        body = json.dumps({"format": "repro.shard-payload", "version": 1,
+                           "lam": payload.lam, "delta": payload.delta})
         request = urllib.request.Request(
             workers[0] + "/shards",
-            data=payload.to_json().encode("utf-8"),
+            data=body.encode("utf-8"),
             headers={"Content-Type": "application/json"},
             method="POST",
         )
-        with urllib.request.urlopen(request, timeout=10) as response:
-            doc = json.loads(response.read().decode("utf-8"))
-        assert doc["format"] == "repro.shard-result"
-        assert doc["lam"] == payload.lam
-        assert doc["payload_digest"] == payload.digest
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 400
+        doc = json.loads(excinfo.value.read().decode("utf-8"))
+        assert doc["error"]["code"] == "bad_payload"
+        assert doc["error"]["retryable"] is False
+        assert "magic" in doc["error"]["message"]
 
     def test_garbage_payload_answers_400_not_retryable(self, workers):
         request = urllib.request.Request(
@@ -355,34 +420,121 @@ class TestSelfHealing:
     def test_shutdown_with_inflight_job_joins_and_drains(
         self, workers, table6_members, monkeypatch
     ):
-        """close() mid-run: threads join in bounded grace, queue drains."""
-        from tests.test_cluster_payload import payload_for
-
+        """Closing the executor mid-run sends nothing new, and every
+        dispatch thread exits once its in-flight RPC returns."""
         real = WorkerClient.mine_shard
+        calls = []
 
         def slow_mine(self, payload, traceparent=None):
+            calls.append(payload.lam)
             time.sleep(0.3)
             return real(self, payload, traceparent)
 
         monkeypatch.setattr(WorkerClient, "mine_shard", slow_mine)
-        pool = WorkerPool(workers)
-        payloads = [payload_for(table6_members, 3, lam) for lam in (1, 2, 3, 4)]
-        run = pool.run(payloads)
-        kind = run.notices.get(timeout=10.0)[0]
-        assert kind == "dispatched"
-        run.close()
-        assert run.join(timeout=10.0)
-        assert not [
-            t for t in threading.enumerate()
-            if t.name.startswith("shard-dispatch-") and t.is_alive()
-        ]
-        # the queue drains without blocking; at most the in-flight
-        # shards report back, nothing new is dispatched after close()
-        drained = []
-        while True:
-            try:
-                drained.append(run.notices.get_nowait())
-            except queue.Empty:
-                break
-        assert all(notice[0] in ("dispatched", "done") for notice in drained)
-        assert run.pending_count() >= len(payloads) - len(workers) - 1
+        partitions, job = first_level(table6_members, 3)
+        with activated(observation(trace=False)) as obs:
+            shards = cluster_executor(
+                iter(partitions), job, WorkerPool(workers),
+                members_digest(table6_members),
+            )
+            next(shards)
+            shards.close()
+            report = obs.report()
+        deadline = time.monotonic() + 10.0
+        while dispatch_threads(workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not dispatch_threads(workers)
+        # both workers started, one came back and was refilled before
+        # the yield; nothing was sent after close()
+        assert report.counter_value("cluster.shards_dispatched") == 3
+        assert len(calls) == 3 < len(partitions)
+
+    def test_idle_worker_refilled_before_merge(
+        self, workers, table6_members, monkeypatch
+    ):
+        """The next shard is on the wire while the loop merges the last."""
+        real_mine = WorkerClient.mine_shard
+        real_done = CheckpointRecorder.partition_done
+        calls = []
+        seen_while_merging = []
+
+        def counted_mine(self, payload, traceparent=None):
+            calls.append(payload.lam)
+            return real_mine(self, payload, traceparent)
+
+        def slow_done(self, lam, patterns):
+            time.sleep(0.2)
+            seen_while_merging.append(len(calls))
+            real_done(self, lam, patterns)
+
+        monkeypatch.setattr(WorkerClient, "mine_shard", counted_mine)
+        monkeypatch.setattr(CheckpointRecorder, "partition_done", slow_done)
+        with recording_scope(CheckpointRecorder()):
+            out = disc_all_cluster(table6_members, 3, WorkerPool(workers[:1]))
+        assert out.stats.first_level_partitions == 7
+        assert seen_while_merging[0] >= 2
+
+
+class TestBreakerAcrossRuns:
+    def test_open_breaker_is_probed_by_the_next_run(
+        self, workers, table6_members, monkeypatch
+    ):
+        """A run that ends with a worker's breaker open leaves it to be
+        probed, and used, by the next run once the backoff elapses."""
+        pool = fast_breaker_pool(workers[:1], degrade_after=0.0)
+        breaker = pool.membership.record(workers[0]).breaker
+        real = WorkerClient.mine_shard
+
+        def refused(self, payload, traceparent=None):
+            raise _ShardAttemptError(
+                "connection refused", retryable=True, worker_fault=True
+            )
+
+        monkeypatch.setattr(WorkerClient, "mine_shard", refused)
+        with activated(observation(trace=False)) as obs:
+            first = disc_all_cluster(table6_members, 3, pool)
+            report = obs.report()
+        assert report.counter_value("cluster.shards_mined_locally") == 7
+        assert breaker.state == "open"
+
+        monkeypatch.setattr(WorkerClient, "mine_shard", real)
+        time.sleep(breaker.snapshot()["retry_in_seconds"] + 0.05)
+        with activated(observation(trace=False)) as obs:
+            second = disc_all_cluster(table6_members, 3, pool)
+            report = obs.report()
+        assert second.patterns == first.patterns
+        assert report.counter_value("cluster.shards_mined_locally") == 0
+        assert report.counter_value("cluster.shards_dispatched") == 7
+        assert breaker.state == "closed"
+
+    def test_unanswered_probe_does_not_wedge_the_breaker(
+        self, workers, table6_members, monkeypatch
+    ):
+        """A run closed while its half-open probe is in flight counts the
+        probe as failed, so the next run can probe the worker again."""
+        pool = fast_breaker_pool(workers)
+        slow = pool.membership.record(workers[1]).breaker
+        slow.record_failure()  # open; the next dispatch after the backoff probes
+        time.sleep(slow.snapshot()["retry_in_seconds"] + 0.05)
+        real = WorkerClient.mine_shard
+
+        def mine(self, payload, traceparent=None):
+            if self.base_url == workers[1]:
+                time.sleep(0.5)
+            return real(self, payload, traceparent)
+
+        monkeypatch.setattr(WorkerClient, "mine_shard", mine)
+        partitions, job = first_level(table6_members, 3)
+        shards = cluster_executor(
+            iter(partitions), job, pool, members_digest(table6_members)
+        )
+        next(shards)  # the fast worker's first shard; the probe is in flight
+        assert slow.state == "half_open"
+        shards.close()
+        assert slow.state == "open"
+
+        monkeypatch.setattr(WorkerClient, "mine_shard", real)
+        time.sleep(slow.snapshot()["retry_in_seconds"] + 0.05)
+        out = disc_all_cluster(table6_members, 3, pool)
+        assert out.patterns == disc_all(table6_members, 3).patterns
+        assert slow.state == "closed"

@@ -41,17 +41,6 @@ class TestRoundTrip:
         assert back == payload
         assert back.digest == payload.digest
 
-    def test_json_round_trip(self, table6_members):
-        payload = payload_for(table6_members, 3, 7)  # item g
-        back = ShardPayload.from_json(payload.to_json())
-        assert back == payload
-
-    def test_both_forms_share_one_digest(self, table6_members):
-        payload = payload_for(table6_members, 3, 5)
-        from_binary = ShardPayload.from_bytes(payload.to_bytes())
-        from_json = ShardPayload.from_dict(payload.to_dict())
-        assert from_binary.digest == from_json.digest == payload.digest
-
     def test_random_databases_round_trip(self):
         rng = random.Random(77)
         for _ in range(20):
@@ -60,7 +49,6 @@ class TestRoundTrip:
             for lam in frequent:
                 payload = payload_for(members, 2, lam)
                 assert ShardPayload.from_bytes(payload.to_bytes()) == payload
-                assert ShardPayload.from_json(payload.to_json()) == payload
 
 
 class TestIntegrity:
@@ -81,18 +69,6 @@ class TestIntegrity:
             ShardPayload.from_bytes(blob[: len(blob) // 2])
         with pytest.raises(DataFormatError, match="trailer"):
             ShardPayload.from_bytes(blob[: len(PAYLOAD_MAGIC) + 10])
-
-    def test_json_digest_mismatch_rejected(self, table6_members):
-        doc = payload_for(table6_members, 3, 1).to_dict()
-        doc["digest"] = "0" * 64
-        with pytest.raises(DataFormatError, match="digest mismatch"):
-            ShardPayload.from_dict(doc)
-
-    def test_json_wrong_format_rejected(self, table6_members):
-        doc = payload_for(table6_members, 3, 1).to_dict()
-        doc["format"] = "something-else"
-        with pytest.raises(DataFormatError, match="format"):
-            ShardPayload.from_dict(doc)
 
     def test_unknown_option_rejected(self, table6_members):
         with pytest.raises(InvalidParameterError, match="unknown shard options"):

@@ -189,25 +189,20 @@ class TestLeaseLifecycle:
 
 
 class TestDispatchViews:
-    def test_candidates_are_live_with_willing_breakers(self, table):
+    def test_candidates_are_the_live_current_records(self, table):
         membership, clock = table
         membership.register(URL)
         other = "http://127.0.0.1:9002"
         membership.register(other)
-        for _ in range(3):
+        for _ in range(3):  # an open breaker is the coordinator's call
             membership.record(other).breaker.record_failure()
-        candidates = [record.url for record in membership.dispatch_candidates()]
-        assert candidates == [URL]
-
-    def test_dispatch_allowed_tracks_record_identity(self, table):
-        membership, clock = table
-        membership.register(URL)
+        assert [r.url for r in membership.dispatch_candidates()] == [URL, other]
         record = membership.record(URL)
-        assert membership.dispatch_allowed(record)
         membership.deregister(URL)
-        assert not membership.dispatch_allowed(record)
+        assert [r.url for r in membership.dispatch_candidates()] == [other]
         membership.register(URL)  # revival replaces the record
-        assert not membership.dispatch_allowed(record)
+        (revived,) = [r for r in membership.dispatch_candidates() if r.url == URL]
+        assert revived is not record
 
     def test_describe_rows_cover_lease_and_breaker(self, table):
         membership, _clock = table
