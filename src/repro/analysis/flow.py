@@ -1,9 +1,9 @@
 """FLOW002: cancellation liveness of the resumable algorithms (system S24).
 
-The ``supports_resume`` algorithms (``core/discall.py``,
-``core/parallel.py``) must reach ``CancelToken.checkpoint()`` from the
-body of every outermost loop, either lexically or through the call
-graph — otherwise a cancel or checkpoint request can stall behind an
+Every ``supports_resume`` algorithm runs the first-level loop of
+``core/discall.py``, whichever executor mines its partitions.  The body
+of every outermost loop there must reach ``CancelToken.checkpoint()``,
+either lexically or through the call graph — otherwise a cancel or checkpoint request can stall behind an
 unbounded scan.  Inner loops are judged as part of their outermost
 statement; comprehensions are exempt (bounded by their iterable, no
 checkpoint side effects possible).
@@ -19,7 +19,7 @@ from repro.analysis.project import ProjectModel
 from repro.analysis.visitor import ProjectRule, iter_subtree, register_project
 
 #: modules implementing ``supports_resume`` algorithms
-RESUME_MODULES = ("core/discall.py", "core/parallel.py")
+RESUME_MODULES = ("core/discall.py",)
 CANCEL_MODULE = "core/cancel.py"
 CANCEL_TOKEN = "CancelToken"
 

@@ -59,7 +59,7 @@ REPRO_SCALE = Scale(
     npats=400,
 )
 
-#: Fast sanity scale used by the pytest-benchmark files and CI.
+#: Fast sanity scale used by the tests and CI.
 SMOKE_SCALE = Scale(
     name="smoke",
     fig8_ncust=(200, 400),

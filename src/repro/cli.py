@@ -97,18 +97,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     else:
         min_support = args.min_support
     observe = bool(args.trace or args.metrics_json or args.events)
-    options: dict[str, object] = {}
-    if args.processes:
-        if args.algorithm != "disc-all-parallel":
-            raise InvalidParameterError(
-                "--processes only applies to --algorithm disc-all-parallel "
-                f"(got {args.algorithm!r})"
-            )
-        if args.processes < 1:
-            raise InvalidParameterError(
-                f"--processes must be >= 1, got {args.processes}"
-            )
-        options["processes"] = args.processes
     if args.events:
         from repro.obs.events import EventLog, event_log
 
@@ -116,15 +104,14 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         try:
             with event_log(sink):
                 result = mine(
-                    db, min_support, algorithm=args.algorithm,
-                    observe=observe, **options
+                    db, min_support, algorithm=args.algorithm, observe=observe
                 )
         finally:
             sink.close()
         print(f"wrote event log to {args.events}")
     else:
         result = mine(
-            db, min_support, algorithm=args.algorithm, observe=observe, **options
+            db, min_support, algorithm=args.algorithm, observe=observe
         )
     print(result.summary())
     if result.report is not None:
@@ -545,9 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="run instrumented and print the span/metric report")
     mine_cmd.add_argument("--metrics-json", default="",
                           help="run instrumented and write the run report as JSON")
-    mine_cmd.add_argument("--processes", type=int, default=0, metavar="N",
-                          help="worker processes for --algorithm "
-                               "disc-all-parallel (0 = executor default)")
     mine_cmd.add_argument("--events", default="", metavar="PATH",
                           help="run instrumented and append structured JSONL "
                                "events (mine.phase, ...) to PATH")

@@ -8,9 +8,7 @@ database it was cut from — with no other shared state.
 It has one serialisation, ``to_bytes``/``from_bytes``: an interned,
 delta-encoded item vocabulary plus varint-packed member sequences,
 framed by a magic prefix and a SHA-256 trailer.  The coordinator ships
-it on ``POST /shards``, and the local process pool pickles it instead of
-raw ``(lam, group, ...)`` tuples (size delta in EXPERIMENTS.md).  The
-payload digest is the SHA-256 of the canonical binary body, so decoding
+it on ``POST /shards``.  The payload digest is the SHA-256 of the canonical binary body, so decoding
 verifies integrity.
 
 A worker answers with a JSON shard-result document
@@ -356,8 +354,8 @@ def mine_shard(payload: ShardPayload) -> dict[RawSequence, int]:
     """Mine one payload's partition; returns its k>=2 pattern map.
 
     The ``((lam,),)`` 1-sequence entry is *not* included — exactly like
-    the local pool workers, the coordinator counts 1-sequences itself —
-    and every returned pattern starts with ``lam`` by construction.
+    :func:`~repro.core.discall.inline_executor`, the coordinator counts
+    1-sequences itself — and every returned pattern starts with ``lam`` by construction.
     """
     options = payload.options
     job = FirstLevelJob(

@@ -269,7 +269,6 @@ _METRIC_SPECS = (
     MetricSpec("partition.first_level_size", "histogram"),
     MetricSpec("partition.extension", "counter"),
     MetricSpec("partition.extension_size", "histogram"),
-    MetricSpec("parallel.payload_bytes", "histogram"),
     # mining service
     MetricSpec("service.cache_hits", "counter"),
     MetricSpec("service.cache_misses", "counter"),

@@ -17,9 +17,8 @@ the paper's experiments.
 
 The first level is one loop, :func:`mine_first_level`, whatever mines
 the partitions: it hands the self-contained ``<(lam)>``-partitions to a
-:data:`FirstLevelExecutor` (:func:`inline_executor` here, a process pool
-in :mod:`repro.core.parallel`, HTTP workers in
-:mod:`repro.cluster.coordinator`) and owns cancel, resume, the
+:data:`FirstLevelExecutor` (:func:`inline_executor` here, HTTP workers
+in :mod:`repro.cluster.coordinator`) and owns cancel, resume, the
 ``disc.partition`` fault site, the merge and the checkpoint boundary.
 
 Execution statistics are not counted twice: every event reports into the

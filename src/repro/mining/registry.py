@@ -18,7 +18,6 @@ from repro.baselines.spade import mine_spade
 from repro.baselines.spam import mine_spam
 from repro.core.discall import disc_all
 from repro.core.dynamic import dynamic_disc_all, multilevel_disc_all
-from repro.core.parallel import disc_all_parallel
 from repro.core.sequence import RawSequence
 from repro.exceptions import UnknownAlgorithmError
 
@@ -40,10 +39,6 @@ def _dynamic(members: Members, delta: int, **options) -> dict[RawSequence, int]:
 
 def _multilevel(members: Members, delta: int, **options) -> dict[RawSequence, int]:
     return multilevel_disc_all(members, delta, **options).patterns
-
-
-def _parallel(members: Members, delta: int, **options) -> dict[RawSequence, int]:
-    return disc_all_parallel(members, delta, **options).patterns
 
 
 _REGISTRY: dict[str, Miner] = {}
@@ -72,7 +67,6 @@ STRATEGIES: dict[str, frozenset[str]] = {
     ),
     "disc-all": _ALL_FOUR,
     "disc-all-plain": _ALL_FOUR,
-    "disc-all-parallel": _ALL_FOUR,
     "dynamic-disc-all": _ALL_FOUR,
     "multilevel-disc-all": _ALL_FOUR,
     "bruteforce": frozenset({CANDIDATE_PRUNING}),
@@ -83,9 +77,7 @@ STRATEGIES: dict[str, frozenset[str]] = {
 #: the DISC-all variants whose partition loops notify round boundaries.
 #: Mutable so :func:`register_algorithm` can admit new resumable miners
 #: (the cluster coordinator registers ``disc-all-cluster`` at serve time).
-RESUMABLE_ALGORITHMS: set[str] = {
-    "disc-all", "disc-all-plain", "disc-all-parallel"
-}
+RESUMABLE_ALGORITHMS: set[str] = {"disc-all", "disc-all-plain"}
 
 
 def supports_resume(name: str) -> bool:
@@ -151,7 +143,6 @@ for _name, _miner in {
     "disc-all-plain": _disc_all_plain,
     "dynamic-disc-all": _dynamic,
     "multilevel-disc-all": _multilevel,
-    "disc-all-parallel": _parallel,
     "prefixspan": mine_prefixspan,
     "pseudo": mine_pseudo_prefixspan,
     "gsp": mine_gsp,

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.exceptions import InvalidParameterError, UnknownAlgorithmError
@@ -77,6 +82,22 @@ class TestRegistry:
             from repro.mining import registry
 
             registry._REGISTRY.pop("test-fake", None)
+
+
+    def test_import_loads_no_process_pool_or_cluster(self):
+        # The registry mines in-process; the cluster loads on demand.
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = (
+            "import sys, repro\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'multiprocessing'\n"
+            "             or m.startswith('repro.cluster')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": str(src)},
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestTable5Strategies:

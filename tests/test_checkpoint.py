@@ -30,7 +30,6 @@ from repro.core.checkpoint import (
     recording_scope,
 )
 from repro.core.discall import disc_all
-from repro.core.parallel import disc_all_parallel
 from repro.db.database import SequenceDatabase
 from repro.exceptions import (
     CheckpointMismatchError,
@@ -38,6 +37,7 @@ from repro.exceptions import (
     InjectedFaultError,
     InvalidParameterError,
     OperationCancelledError,
+    UnknownAlgorithmError,
 )
 from repro.faults import FaultPlan, fault_plan
 from repro.mining.api import mine, run_identity
@@ -59,11 +59,6 @@ DEAD_URL = "http://127.0.0.1:9"
 #: worker ("live", "dead" or None), fault sites that fire in this process)
 EXECUTORS = {
     "disc-all": ("disc-all", {}, None, ("disc.partition", "disc.round")),
-    "parallel-1": (
-        "disc-all-parallel", {"processes": 1}, None,
-        ("disc.partition", "disc.round"),
-    ),
-    "parallel-2": ("disc-all-parallel", {"processes": 2}, None, ("disc.partition",)),
     "cluster": ("disc-all-cluster", {}, "live", ("disc.partition",)),
     "cluster-degraded": (
         "disc-all-cluster", {}, "dead", ("disc.partition", "disc.round"),
@@ -324,8 +319,7 @@ class TestMineIntegration:
         On every first-level executor.  ``disc.partition`` fires in the
         shared loop; ``disc.round`` is armed where the rounds run in
         this process — the inline executor and degraded cluster mining
-        (a cluster worker answers it with a retryable 500, and a pool
-        worker process never sees the plan).
+        (a cluster worker answers it with a retryable 500).
         """
         algorithm, options, worker, sites = EXECUTORS[executor]
         if worker is not None:
@@ -359,8 +353,6 @@ class TestMineIntegration:
     ):
         outputs = {
             "disc-all": disc_all(table6_members, 3),
-            "parallel-1": disc_all_parallel(table6_members, 3, processes=1),
-            "parallel-2": disc_all_parallel(table6_members, 3, processes=2),
             "cluster": disc_all_cluster(table6_members, 3, cluster_pool(live=True)),
             "cluster-degraded": disc_all_cluster(
                 table6_members, 3, cluster_pool(live=False)
@@ -395,8 +387,12 @@ class TestMineIntegration:
 
     def test_resumable_registry(self):
         assert "disc-all" in RESUMABLE_ALGORITHMS
-        assert "disc-all-parallel" in RESUMABLE_ALGORITHMS
+        assert "disc-all-plain" in RESUMABLE_ALGORITHMS
         assert not supports_resume("dynamic-disc-all")
+        removed = "disc-all-parallel"  # the deleted process pool
+        assert not supports_resume(removed)
+        with pytest.raises(UnknownAlgorithmError):
+            registry.get_algorithm(removed)
 
     def test_cancel_before_first_partition_keeps_one_sequences(self, table1_db):
         # A pre-cancelled token stops at the first partition boundary;

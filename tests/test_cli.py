@@ -245,26 +245,6 @@ class TestStdinAndFormat:
 
 
 class TestClusterCli:
-    def test_mine_processes_flag(self, spmf_file, capsys):
-        assert main([
-            "mine", spmf_file, "--min-support", "2",
-            "--algorithm", "disc-all-parallel", "--processes", "1",
-        ]) == 0
-        assert "disc-all-parallel" in capsys.readouterr().out
-
-    def test_processes_requires_parallel_algorithm(self, spmf_file, capsys):
-        assert main([
-            "mine", spmf_file, "--min-support", "2", "--processes", "2",
-        ]) == 2
-        assert "disc-all-parallel" in capsys.readouterr().err
-
-    def test_processes_must_be_positive(self, spmf_file, capsys):
-        assert main([
-            "mine", spmf_file, "--min-support", "2",
-            "--algorithm", "disc-all-parallel", "--processes", "-3",
-        ]) == 2
-        assert ">= 1" in capsys.readouterr().err
-
     def test_coordinator_flag_requires_worker_role(self, capsys):
         assert main([
             "serve", "--role", "coordinator",

@@ -7,9 +7,17 @@ import random
 import pytest
 
 from repro.baselines.bruteforce import mine_bruteforce
+from repro.core.cancel import CancelToken, cancel_scope
+from repro.core.checkpoint import (
+    CheckpointIdentity,
+    CheckpointRecorder,
+    recording_scope,
+)
 from repro.core.discall import disc_all
 from repro.core.dynamic import dynamic_disc_all
 from repro.core.sequence import parse, seq_length
+from repro.exceptions import InjectedFaultError, OperationCancelledError
+from repro.faults import FaultPlan, fault_plan
 from tests.conftest import random_database
 
 
@@ -85,6 +93,57 @@ class TestDiscAll:
 
             for pattern, count in disc_all(members, delta).patterns.items():
                 assert count == support_count(raws, pattern)
+
+
+class TestFirstLevelBoundaries:
+    """The first-level loop honours fault sites and checkpoints per partition."""
+
+    def test_fault_point_fires_per_partition(self, table6_members):
+        with fault_plan(FaultPlan.from_spec("disc.partition:2")) as plan:
+            with pytest.raises(InjectedFaultError):
+                disc_all(table6_members, 3)
+        assert plan.fired() == {"disc.partition": 1}
+        assert plan.hits()["disc.partition"] == 2
+
+    def test_recorder_marks_partitions_in_dispatch_order(self, table6_members):
+        recorder = CheckpointRecorder()
+        with recording_scope(recorder):
+            out = disc_all(table6_members, 3)
+        # Every dispatched partition was marked done, in ascending order.
+        done = recorder.completed_partitions
+        assert len(done) == out.stats.first_level_partitions
+        assert list(done) == sorted(done)
+
+    def test_recorder_skips_completed_partitions(self, table6_members):
+        full = disc_all(table6_members, 3)
+        # First run: cancel after two partitions, capture the watermark.
+        token = CancelToken()
+        recorder = CheckpointRecorder()
+        original_done = recorder.partition_done
+
+        def cancel_after_two(lam: int, patterns: dict) -> None:
+            original_done(lam, patterns)
+            if len(recorder.completed_partitions) == 2:
+                token.cancel("captured enough")
+
+        recorder.partition_done = cancel_after_two  # type: ignore[method-assign]
+        with cancel_scope(token), recording_scope(recorder):
+            with pytest.raises(OperationCancelledError):
+                disc_all(table6_members, 3)
+        assert len(recorder.completed_partitions) == 2
+
+        # Second run resumes: completed partitions are not mined again,
+        # and the merged output still equals the uninterrupted run.
+        checkpoint = recorder.capture(
+            CheckpointIdentity("d" * 64, 3, "disc-all", "x")
+        )
+        resume_recorder = CheckpointRecorder(resume_from=checkpoint)
+        with recording_scope(resume_recorder):
+            resumed = disc_all(table6_members, 3)
+        assert resumed.stats.first_level_partitions == (
+            full.stats.first_level_partitions - 2
+        )
+        assert resumed.patterns == full.patterns
 
 
 class TestDynamicDiscAll:
