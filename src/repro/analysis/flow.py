@@ -3,10 +3,10 @@
 Every ``supports_resume`` algorithm runs the first-level loop of
 ``core/discall.py``, whichever executor mines its partitions.  The body
 of every outermost loop there must reach ``CancelToken.checkpoint()``,
-either lexically or through the call graph — otherwise a cancel or checkpoint request can stall behind an
-unbounded scan.  Inner loops are judged as part of their outermost
-statement; comprehensions are exempt (bounded by their iterable, no
-checkpoint side effects possible).
+either lexically or through the call graph — otherwise a cancel or
+checkpoint request can stall behind an unbounded scan.  Inner loops are
+judged as part of their outermost statement; comprehensions are exempt
+(bounded by their iterable, no checkpoint side effects possible).
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ database it was cut from — with no other shared state.
 It has one serialisation, ``to_bytes``/``from_bytes``: an interned,
 delta-encoded item vocabulary plus varint-packed member sequences,
 framed by a magic prefix and a SHA-256 trailer.  The coordinator ships
-it on ``POST /shards``.  The payload digest is the SHA-256 of the canonical binary body, so decoding
-verifies integrity.
+it on ``POST /shards``.  The payload digest is the SHA-256 of the
+canonical binary body, so decoding verifies integrity.
 
 A worker answers with a JSON shard-result document
 (:func:`encode_shard_result` / :func:`decode_shard_result`).
@@ -353,9 +353,9 @@ def members_digest(members: Iterable[Member]) -> str:
 def mine_shard(payload: ShardPayload) -> dict[RawSequence, int]:
     """Mine one payload's partition; returns its k>=2 pattern map.
 
-    The ``((lam,),)`` 1-sequence entry is *not* included — exactly like
-    :func:`~repro.core.discall.inline_executor`, the coordinator counts
-    1-sequences itself — and every returned pattern starts with ``lam`` by construction.
+    The ``((lam,),)`` 1-sequence entry is *not* included — the
+    first-level loop counts 1-sequences itself — and every returned
+    pattern starts with ``lam`` by construction.
     """
     options = payload.options
     job = FirstLevelJob(
