@@ -14,7 +14,9 @@ worker death:
 5. assert the shard retry is visible end to end: ``shard.retried``
    events under the submitted trace id, ``cluster.shards_retried`` on
    the coordinator's ``/metrics`` (JSON and Prometheus), and the dead
-   worker missing from ``/healthz`` live counts.
+   worker missing from ``/healthz`` live counts,
+6. assert the shards were coarse: the mine dispatched at most
+   ``SHARDS_PER_WORKER`` shards per worker, retries aside.
 
 Exits non-zero (with the server logs) on any deviation.  Pure stdlib.
 """
@@ -190,6 +192,7 @@ def main() -> int:
 
         # Compare supports through the repro renderer, like the reference.
         sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+        from repro.cluster.coordinator import SHARDS_PER_WORKER
         from repro.core.sequence import format_seq
 
         rendered_reference = {
@@ -250,6 +253,14 @@ def main() -> int:
         merged = metrics.get("cluster.shards_merged", {}).get("value", 0)
         if not merged:
             sys.exit("cluster.shards_merged missing from /metrics")
+        dispatched = metrics.get("cluster.shards_dispatched", {}).get("value", 0)
+        planned = len(WORKER_PORTS) * SHARDS_PER_WORKER
+        if not 0 < dispatched - retried <= planned:
+            sys.exit(
+                f"{dispatched} shards dispatched with {retried} retried: "
+                f"wanted at most {planned} first sends for {len(WORKER_PORTS)} "
+                "workers"
+            )
         prometheus = request_text(
             COORDINATOR_PORT, "/metrics?format=prometheus"
         )
@@ -259,8 +270,8 @@ def main() -> int:
         if health.get("workers_connected") != 2 or health.get("workers_live") != 1:
             sys.exit(f"post-kill worker counts wrong: {health}")
         print(
-            f"coordinator /metrics: {retried} retried, {merged} merged; "
-            "/healthz: 1/2 workers live"
+            f"coordinator /metrics: {dispatched} dispatched, {retried} retried, "
+            f"{merged} merged; /healthz: 1/2 workers live"
         )
     finally:
         for proc in [coordinator] + list(workers.values()):

@@ -5,12 +5,13 @@ membership is known, which makes DISC embarrassingly shardable.  This
 package turns that fact into a small cluster:
 
 - :mod:`repro.cluster.payload` — the portable shard payload format
-  (one partition's members + identity) and its binary round-trip.
+  (a range of partition keys, the union of their members + identity)
+  and its binary round-trip.
 - :mod:`repro.cluster.worker` — an HTTP worker that mines one payload
   per ``POST /shards`` request.
-- :mod:`repro.cluster.coordinator` — membership computation, cost-
-  balanced fan-out with shard-level retry, graceful local degradation,
-  and the disjoint merge back into one result.
+- :mod:`repro.cluster.coordinator` — shard planning into cost-balanced
+  key ranges, fan-out with shard-level retry, graceful local
+  degradation, and the disjoint merge back into one result.
 - :mod:`repro.cluster.membership` — the coordinator's dynamic lease
   table: workers register/heartbeat at runtime, a reaper suspects and
   retires the silent ones.

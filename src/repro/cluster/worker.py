@@ -2,11 +2,13 @@
 
 A worker is deliberately stateless between requests — it holds no
 databases and no job queue.  Every ``POST /shards`` carries a complete
-:class:`~repro.cluster.payload.ShardPayload`; the worker mines it under
-its own observation and answers with the partition's pattern map plus
-the run's :class:`~repro.obs.RunReport`, which the coordinator folds
-into the job-wide report.  Losing a worker therefore loses nothing but
-in-flight work: the coordinator re-dispatches the shard elsewhere.
+:class:`~repro.cluster.payload.ShardPayload`: a range of first-level
+keys plus the union of their members.  The worker rebuilds the range's
+partitions with the first-level loop, mines them under its own
+observation and answers with one pattern map per key plus the run's
+:class:`~repro.obs.RunReport`, which the coordinator folds into the
+job-wide report.  Losing a worker therefore loses nothing but in-flight
+work: the coordinator re-dispatches the whole shard elsewhere.
 
 Endpoints::
 
@@ -19,8 +21,10 @@ Tracing: an incoming ``traceparent`` header scopes the mining run, so
 the worker's spans and the coordinator's job share one trace id; the
 response echoes the header and carries ``trace_id`` in the body.
 
-Errors: a malformed payload answers 400 with ``retryable: false`` (the
-bytes will not improve on another worker); a body larger than the
+Errors: a malformed payload — bad framing or digest, a version other
+than the current one, or keys that are empty, repeated, unordered or
+not frequent — answers 400 ``bad_payload`` with ``retryable: false``
+(the bytes will not improve on another worker); a body larger than the
 worker's ``max_shard_bytes`` answers 413 with ``retryable: false``
 *without reading it*; a mining failure answers 500 with ``retryable``
 set from the service's retry classification, which the coordinator
@@ -53,7 +57,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace_context import TraceContext, trace_scope
 
 #: default request-body ceiling for ``POST /shards`` (64 MiB): large
-#: enough for any realistic first-level partition, small enough that a
+#: enough for a shard of any realistic database, small enough that a
 #: confused client cannot make the worker buffer arbitrary bytes
 DEFAULT_MAX_SHARD_BYTES = 64 * 1024 * 1024
 
@@ -78,27 +82,30 @@ class ClusterWorker:
 
     def mine(self, payload: ShardPayload, trace: TraceContext | None) -> dict[str, object]:
         """Mine one payload under its own observation; returns the result doc."""
+        cost = payload.cost()
         with trace_scope(trace), activated(observation()) as obs:
             attrs: dict[str, object] = {
-                "lam": payload.lam,
-                "cost": payload.cost(),
+                "lam": payload.keys[0],
+                "keys": len(payload.keys),
+                "cost": cost,
             }
             if trace is not None:
                 attrs["trace_id"] = trace.trace_id
             with obs.tracer.span("shard", **attrs):
-                patterns = mine_shard(payload)
+                results = mine_shard(payload)
+            patterns = sum(len(found) for found in results.values())
             # counted inside the observation as well, so the report the
             # coordinator absorbs carries this worker's contribution
             obs.metrics.counter("worker.shards_mined").add(1)
-            obs.metrics.counter("worker.patterns_returned").add(len(patterns))
+            obs.metrics.counter("worker.patterns_returned").add(patterns)
             report = obs.report()
         with self._lock:
             self.metrics.counter("worker.shards_mined").add(1)
-            self.metrics.counter("worker.patterns_returned").add(len(patterns))
-            self.metrics.histogram("worker.shard_cost").record(payload.cost())
+            self.metrics.counter("worker.patterns_returned").add(patterns)
+            self.metrics.histogram("worker.shard_cost").record(cost)
         return encode_shard_result(
             payload,
-            patterns,
+            results,
             report=report,
             trace_id=trace.trace_id if trace is not None else None,
         )

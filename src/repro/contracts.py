@@ -72,6 +72,8 @@ _EVENT_SPECS = (
               ("jobs", "resumed", "restarted", "unresumable")),
     EventSpec("mine.phase", ("phase", "seconds"), ("algorithm",)),
     EventSpec("fault.injected", ("site", "hit")),
+    # a shard is a range of first-level keys: ``lam`` is its first key,
+    # and shard.completed's ``patterns`` counts over all of its keys
     EventSpec("shard.dispatched", ("lam", "worker")),
     EventSpec("shard.completed", ("lam", "worker", "patterns")),
     EventSpec("shard.retried", ("lam", "worker"), ("reason",)),
