@@ -158,13 +158,16 @@ class PartitionQueue:
 
 def iterate_first_level(
     members: Iterable[Member],
+    counted: bool = True,
 ) -> Iterator[tuple[int, list[Member]]]:
     """Process first-level partitions in order, reassigning after each.
 
     Yields ``(lam, partition_members)`` for every first-level key in
     ascending order; after the caller finishes with a partition the
     members are reassigned by their next minimum 1-sequence (Step 2.2),
-    dropping sequences with no further items.
+    dropping sequences with no further items.  With *counted* false the
+    walk leaves ``partition.first_level`` and its size histogram alone:
+    a cluster shard re-walks partitions its coordinator already counted.
     """
     metrics = active().metrics
     visited = metrics.counter("partition.first_level")
@@ -176,8 +179,9 @@ def iterate_first_level(
         for member in group:
             queue.add(lam, member)
     for lam, group in queue:
-        visited.add(1)
-        sizes.record(len(group))
+        if counted:
+            visited.add(1)
+            sizes.record(len(group))
         yield lam, group
         for cid, seq in group:
             nxt = next_minimum_item(seq, lam)
